@@ -1,5 +1,6 @@
 #include "power/manager.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -85,8 +86,9 @@ void CappingManager::set_candidate_set(const std::vector<hw::NodeId>& ids) {
   // the next context build.
   job_index_.set_candidate_set(collector_.candidate_set());
   // Slot layout and context positions are stale now: the next context
-  // build must be a full one.
+  // build must be a full one, and no skip may stand in for it.
   inc_valid_ = false;
+  quiet_since_build_ = false;
   if (owns_watchdog_groups_ && watchdog_ != nullptr) {
     watchdog_->set_groups({collector_.candidate_set()});
   }
@@ -205,6 +207,12 @@ void ManagerMetrics::bind(obs::Registry& reg) {
   m.predictive_elevations =
       reg.counter("pcap_manager_predictive_elevations_total",
                   "Green cycles promoted to the yellow path by a forecast");
+  m.telemetry_sweeps =
+      reg.counter("pcap_telemetry_sweeps_total",
+                  "Real agent sweeps (not clock-only stride/outage ticks)");
+  m.context_skips =
+      reg.counter("pcap_manager_context_skips_total",
+                  "Gated cycles whose idle context build was skipped");
 
   m.measured_watts = reg.gauge("pcap_manager_measured_watts",
                                "Facility meter reading at the last cycle");
@@ -236,7 +244,8 @@ void ManagerMetrics::bind(obs::Registry& reg) {
 }
 
 void ManagerMetrics::publish(const ManagerReport& report,
-                             std::size_t unresponsive_now) {
+                             std::size_t unresponsive_now, std::size_t sweeps,
+                             std::size_t context_skips) {
   ManagerMetrics& m = *this;
   obs::Registry* reg = m.reg;
   if (reg == nullptr) return;
@@ -284,6 +293,8 @@ void ManagerMetrics::publish(const ManagerReport& report,
   reg->set_total(m.ctrl_zone_outage_cycles, report.ctrl_zone_outage_cycles);
 
   reg->add(m.watchdog_adoptions, report.watchdog_adoptions);
+  reg->add(m.telemetry_sweeps, sweeps);
+  reg->add(m.context_skips, context_skips);
 
   reg->set_total(m.predictor_overshoots, report.predictor_overshoots);
   reg->set_total(m.predictor_misses, report.predictor_misses);
@@ -879,6 +890,7 @@ void CappingManager::collect_phase(bool collect_now,
       collector_.set_watch(watch_scratch_);
     }
     collector_.collect(nodes, now, monitored_jobs);
+    quiet_since_build_ = quiet_since_build_ && collector_.last_sweep_quiet();
   } else {
     // Clock tick only: per-slot staleness stays well-defined and the
     // stride schedule keeps its phase.
@@ -914,6 +926,25 @@ void CappingManager::context_phase(Watts measured,
   report.fallback_nodes = scratch_ctx_.fallback_nodes;
   report.rejected_samples = scratch_ctx_.rejected_samples;
   report.unresponsive_nodes = scratch_ctx_.unresponsive_nodes;
+  quiet_since_build_ = report.stale_nodes == 0 && report.missing_nodes == 0 &&
+                       report.fallback_nodes == 0 &&
+                       report.rejected_samples == 0 &&
+                       report.unresponsive_nodes == 0;
+  observation_lag_ = false;
+}
+
+bool CappingManager::context_skippable(PowerState effective) const {
+  return effective == PowerState::kGreen &&
+         engine_.green_timer() + 1 < engine_.params().steady_green_cycles &&
+         reconciler_.pending_count() == 0 &&
+         reconciler_.unresponsive_count() == 0 &&
+         channel_.in_flight_count() == 0 && !watchdog_pending() &&
+         quiet_since_build_ && collector_.last_sweep_quiet();
+}
+
+void CappingManager::skip_context_phase() {
+  ++context_skips_;
+  observation_lag_ = true;
 }
 
 CycleDecision CappingManager::select_phase(Watts measured, Watts p_low,
@@ -1048,7 +1079,7 @@ ManagerReport CappingManager::dead_cycle(Watts measured,
   fill_actuation_totals(report);
   fill_control_totals(report);
   fill_predictor_totals(report);
-  metrics_.publish(report, reconciler_.unresponsive_count());
+  metrics_.publish(report, reconciler_.unresponsive_count(), 0, 0);
   return report;
 }
 
@@ -1056,13 +1087,25 @@ ManagerReport CappingManager::cycle(Watts measured,
                                     std::vector<hw::Node>& nodes,
                                     const sched::Scheduler& scheduler,
                                     Seconds now) {
+  CycleOpening opening = open_cycle(measured, nodes, scheduler, now);
+  if (opening.closed) return opening.report;
+  return close_cycle(opening, nodes, scheduler);
+}
+
+CappingManager::CycleOpening CappingManager::open_cycle(
+    Watts measured, std::vector<hw::Node>& nodes,
+    const sched::Scheduler& scheduler, Seconds now) {
+  CycleOpening opening;
+  ManagerReport& report = opening.report;
   // 0. Control-plane fault process. A blacked-out (or stalled) controller
   // contributes nothing this cycle — the dead path models exactly what
   // still happens without it. With faults disabled begin_cycle() draws
   // nothing and the healthy path below is bit-identical to pre-fault
   // builds.
   if (ctrl_faults_.begin_cycle()) {
-    return dead_cycle(measured, nodes, scheduler, now);
+    report = dead_cycle(measured, nodes, scheduler, now);
+    opening.closed = true;
+    return opening;
   }
   // A live cycle IS the liveness beacon: every node in this manager's
   // group hears from its controller this control period.
@@ -1079,7 +1122,6 @@ ManagerReport CappingManager::cycle(Watts measured,
   // learner reads only the facility meter, never the collector.
   learner_.observe(measured);
 
-  ManagerReport report;
   report.measured = measured;
   report.p_low = learner_.p_low();
   report.p_high = learner_.p_high();
@@ -1095,7 +1137,7 @@ ManagerReport CappingManager::cycle(Watts measured,
       policy_->forecast_driven() && *forecast_ >= report.p_low;
 
   // 2. Telemetry sweep over A_candidate — or, on a quiet green cycle
-  // between stride marks, just a clock tick. The context/collect gate is
+  // between stride marks, just a clock tick. The collect gate is
   // evaluated exactly ONCE, here, strictly before begin_actuation_phase:
   // that call processes reboots and due deliveries and can shrink the
   // in-flight set, so a second evaluation after it could disagree with
@@ -1104,17 +1146,28 @@ ManagerReport CappingManager::cycle(Watts measured,
   // predictive alarm forces the build the same way a non-green state
   // does: the elevated yellow path selects against this context, so it
   // must be fresh.
-  const bool needs_context = context_gate(report.state) || predictive_alarm;
-  const bool collect_now = needs_context || collect_due();
+  opening.context_gate = context_gate(report.state) || predictive_alarm;
+  opening.swept = opening.context_gate || collect_due();
   {
     const obs::SpanTimer::Scope span = metrics_.collect_span.start();
-    collect_phase(collect_now, nodes, now, scheduler.running_count());
+    collect_phase(opening.swept, nodes, now, scheduler.running_count());
   }
   report.manager_utilization = collector_.last_cycle_manager_utilization();
 
   fill_telemetry_totals(report);
 
-  // 2b. Actuation-plane hardware events happen whether or not the manager
+  // 2b. The context decision, once, after the sweep (the telemetry
+  // clauses read it) and before begin_actuation_phase (the reconciler
+  // clauses must see the state the collect decision saw). It can only
+  // narrow the gate, so a cycle that builds has always just collected.
+  const PowerState effective =
+      predictive_alarm && report.state == PowerState::kGreen
+          ? PowerState::kYellow
+          : report.state;
+  opening.build_context =
+      opening.context_gate && !context_skippable(effective);
+
+  // 2c. Actuation-plane hardware events happen whether or not the manager
   // is ready to react: nodes reboot (resetting to their highest level)
   // and commands whose delivery delay expired land now — even during
   // training, when the arrivals are leftovers from before a reset.
@@ -1126,20 +1179,34 @@ ManagerReport CappingManager::cycle(Watts measured,
     fill_actuation_totals(report);
     fill_control_totals(report);
     fill_predictor_totals(report);
-    metrics_.publish(report, reconciler_.unresponsive_count());
-    return report;
+    metrics_.publish(report, reconciler_.unresponsive_count(),
+                     opening.swept ? 1 : 0, 0);
+    opening.closed = true;
   }
+  return opening;
+}
 
-  // 4. Algorithm 1 + reconciliation + actuation. A green cycle with
-  // nothing degraded and nothing in flight never consults the context
-  // (the pruning loop and the restore walk both iterate A_degraded), so
-  // the dominant assembly cost is skipped on the steady-state path; when
-  // it does run, the persistent buffers make it allocation-free. Unacked
-  // or abandoned commands force the build: acks arrive through it, and
-  // unresponsive nodes can only be readmitted by looking at telemetry.
-  if (needs_context) {
+ManagerReport CappingManager::close_cycle(CycleOpening& opening,
+                                          std::vector<hw::Node>& nodes,
+                                          const sched::Scheduler& scheduler) {
+  ManagerReport& report = opening.report;
+  const Watts measured = report.measured;
+  // 4. Algorithm 1 + reconciliation + actuation. The context is built
+  // only when the gate opened and the skip predicate could not clear it:
+  // a green cycle with nothing degraded, pending or in flight never
+  // consults it (the pruning loop and the restore walk both iterate
+  // A_degraded), and a green tick inside the T_g wait with quiet
+  // telemetry and an idle reconciler would rebuild the context the last
+  // build left in place. Unacked or abandoned commands force the build:
+  // acks arrive through it, and unresponsive nodes can only be readmitted
+  // by looking at telemetry. When it runs, the persistent buffers make it
+  // allocation-free.
+  const bool skipped = opening.context_gate && !opening.build_context;
+  if (opening.build_context) {
     const obs::SpanTimer::Scope span = metrics_.context_span.start();
     context_phase(measured, nodes, scheduler, report);
+  } else if (skipped) {
+    skip_context_phase();
   }
   // Stamp THIS cycle's forecast into the context (clearing any stale
   // stamp from a previous build): the engine's predictive elevation and
@@ -1171,7 +1238,8 @@ ManagerReport CappingManager::cycle(Watts measured,
   fill_actuation_totals(report);
   fill_control_totals(report);
   fill_predictor_totals(report);
-  metrics_.publish(report, reconciler_.unresponsive_count());
+  metrics_.publish(report, reconciler_.unresponsive_count(),
+                   opening.swept ? 1 : 0, skipped ? 1 : 0);
   return report;
 }
 
@@ -1180,6 +1248,20 @@ ShardCheckpoint CappingManager::checkpoint() const {
   cp.learner = learner_.checkpoint();
   cp.engine = engine_.checkpoint();
   cp.reconciler = reconciler_.checkpoint();
+  if (observation_lag_) {
+    // Each skipped build would have fed every candidate's newest sample
+    // through observe_node. The skip predicate guaranteed nothing pending
+    // or unresponsive and every such sample at its slot's believed level,
+    // so all those observations could do is advance observed_cycle to the
+    // newest sample's stamp — the image applies exactly that, so a warm
+    // restart reads what an every-cycle build would have written.
+    for (ReconcilerSlotCheckpoint& sc : cp.reconciler.slots) {
+      const std::optional<telemetry::SampleHistoryView> hist =
+          collector_.history(sc.node);
+      if (!sc.has_believed || !hist || hist->empty()) continue;
+      sc.observed_cycle = std::max(sc.observed_cycle, hist->back().cycle);
+    }
+  }
   cp.collector_cycles = collector_.cycle_count();
   // The observation counter rides in front of the opaque model state so
   // the restored refresh cadence stays phase-aligned with the old run.
@@ -1213,6 +1295,8 @@ void CappingManager::restore(const ShardCheckpoint& cp) {
   // Reconciler state just jumped wholesale; rebuild the context from
   // scratch rather than trusting pre-restore dirty bookkeeping.
   inc_valid_ = false;
+  quiet_since_build_ = false;
+  observation_lag_ = false;
 }
 
 ManagerReport NoCappingManager::cycle(Watts measured,

@@ -138,6 +138,9 @@ struct ManagerMetrics {
   obs::CounterHandle watchdog_adoptions;
   obs::CounterHandle predictor_overshoots, predictor_misses,
       predictive_elevations;
+  // Control-loop work: real telemetry sweeps (not clock-only ticks) and
+  // gated cycles whose context build the skip predicate proved idle.
+  obs::CounterHandle telemetry_sweeps, context_skips;
   // Instantaneous state.
   obs::GaugeHandle measured_watts, p_low_watts, p_high_watts,
       commands_in_flight, unresponsive_nodes, agents_down, orphan_zones;
@@ -147,9 +150,12 @@ struct ManagerMetrics {
 
   void bind(obs::Registry& registry);
   /// Pushes one cycle's report into the registry (no-op when unbound).
-  /// `unresponsive_now` is the instantaneous reconciler tally (summed
-  /// across shards by the zone tree).
-  void publish(const ManagerReport& report, std::size_t unresponsive_now);
+  /// `unresponsive_now` is the instantaneous reconciler tally; `sweeps`
+  /// and `context_skips` count this cycle's real telemetry sweeps and
+  /// skipped context builds (all three summed across shards by the zone
+  /// tree).
+  void publish(const ManagerReport& report, std::size_t unresponsive_now,
+               std::size_t sweeps, std::size_t context_skips);
 };
 
 class PowerManagerBase {
@@ -202,13 +208,13 @@ struct CappingManagerParams {
   /// Steady-green telemetry stride: when the classified state is green and
   /// nothing is degraded, pending, unresponsive or in flight, the full
   /// agent sweep runs only every this many cycles (1 = sweep every cycle,
-  /// the legacy cadence). Any cycle that will build a policy context
-  /// collects first — the gate is evaluated before the sweep and can only
-  /// shrink between then and the context build — so decisions never act
-  /// across a strided gap, and max_sample_age_cycles never has to cover
-  /// the stride: staleness only matters on deciding cycles, which always
-  /// just collected. The meter (the classification input) is read every
-  /// cycle regardless.
+  /// the legacy cadence). Any cycle that may build a policy context
+  /// collects first — the collect decision is made before the sweep, and
+  /// the context decision after it can only narrow it — so decisions
+  /// never act across a strided gap, and max_sample_age_cycles never has
+  /// to cover the stride: staleness only matters on deciding cycles,
+  /// which always just collected. The meter (the classification input)
+  /// is read every cycle regardless.
   std::int64_t green_collect_stride = 16;
   /// When set, A_candidate is recomputed dynamically (§III.A algorithm
   /// (c)) instead of being fixed by set_candidate_set().
@@ -260,9 +266,37 @@ class CappingManager final : public PowerManagerBase {
     return collector_.candidate_set();
   }
 
+  /// open_cycle() then close_cycle().
   ManagerReport cycle(Watts measured, std::vector<hw::Node>& nodes,
                       const sched::Scheduler& scheduler,
                       Seconds now) override;
+
+  /// One control cycle split at its context decision.
+  struct CycleOpening {
+    ManagerReport report;
+    /// Dead (controller outage) or training cycle: `report` is final and
+    /// already published; do not call close_cycle().
+    bool closed = false;
+    bool swept = false;         ///< a real telemetry sweep ran
+    bool context_gate = false;  ///< context_gate() or a predictive alarm
+    /// context_gate && !context_skippable(). A caller may widen it up to
+    /// context_gate before close_cycle() — the tests' parity oracle builds
+    /// on every gated cycle that way, and results must not move — but
+    /// never narrow it.
+    bool build_context = false;
+  };
+  /// Steps 0-3 of cycle(): control-fault draw (a dead cycle closes here),
+  /// heartbeat, candidate reselection, learning + classification,
+  /// forecasting, the collect decision and sweep, the context decision,
+  /// and the actuation-plane hardware events. Training cycles close here.
+  CycleOpening open_cycle(Watts measured, std::vector<hw::Node>& nodes,
+                          const sched::Scheduler& scheduler, Seconds now);
+  /// Step 4: builds the context iff `opening.build_context` (else
+  /// counts a skip when the gate fired), runs Algorithm 1, reconciles,
+  /// actuates and publishes.
+  ManagerReport close_cycle(CycleOpening& opening,
+                            std::vector<hw::Node>& nodes,
+                            const sched::Scheduler& scheduler);
 
   /// Preregisters every manager series (counters, gauges, cycle-phase
   /// spans) in `reg`. ManagerReport and the trace CSV then become views
@@ -330,6 +364,8 @@ class CappingManager final : public PowerManagerBase {
   [[nodiscard]] const IncrementalStats& incremental_stats() const {
     return inc_stats_;
   }
+  /// Gated cycles whose context build was skipped (lifetime total).
+  [[nodiscard]] std::uint64_t context_skips() const { return context_skips_; }
 
   /// Cluster-owned watchdog: this manager becomes group 0 and (re)groups
   /// the watchdog over its candidate set now and on every
@@ -370,23 +406,40 @@ class CappingManager final : public PowerManagerBase {
   // --- Shard phase API -------------------------------------------------
   // cycle() is expressed through these phases; the zone tree drives the
   // same phases per shard with the learner/classification hoisted to the
-  // root. Call order within one cycle: context_gate (once!) →
-  // collect_phase → begin_actuation_phase → [apply_deliveries on the
-  // training path | context_phase → select_phase → actuate_phase].
+  // root. Call order within one cycle: context_gate (the collect
+  // decision, once) → collect_phase → context_skippable (the context
+  // decision, once) → begin_actuation_phase → [apply_deliveries on the
+  // training path | context_phase or skip_context_phase → select_phase →
+  // actuate_phase].
 
-  /// The single context/collect gate: true when this cycle must build a
-  /// policy context (and therefore must have collected first). Evaluate
-  /// exactly ONCE per cycle, before begin_actuation_phase — that call
-  /// processes reboots and delayed deliveries, which can shrink
-  /// in_flight/pending state; re-evaluating after it can disagree with
-  /// the collect decision made before it (collect skipped, context built
-  /// on stale views).
+  /// The collect gate: true when this cycle may need a policy context and
+  /// must therefore collect first. Evaluate exactly ONCE per cycle, before
+  /// the sweep — begin_actuation_phase processes reboots and delayed
+  /// deliveries, which can shrink in_flight/pending state; re-evaluating
+  /// after it can disagree with the collect decision (collect skipped,
+  /// context built on stale views).
   [[nodiscard]] bool context_gate(PowerState state) const {
     return state != PowerState::kGreen || !engine_.degraded().empty() ||
            reconciler_.pending_count() > 0 ||
            reconciler_.unresponsive_count() > 0 ||
            channel_.in_flight_count() > 0 || watchdog_pending();
   }
+
+  /// The context decision: true when a cycle the gate opened provably
+  /// gains nothing from a context build, so skip_context_phase stands in
+  /// for context_phase. Requires all of:
+  ///  - Algorithm 1 cannot act: `effective` (the classification with any
+  ///    predictive elevation folded in) is green and this cycle's green
+  ///    tick stays inside the T_g wait;
+  ///  - the reconciler has nothing to observe: nothing pending,
+  ///    unresponsive, in flight or awaiting watchdog adoption;
+  ///  - telemetry is quiet: the last build was clean, the candidate set
+  ///    and reconciler tables are unchanged since, and every sweep since
+  ///    (this one included) was quiet (Collector::last_sweep_quiet).
+  /// The context that build would produce then has the same node set, all
+  /// clean, at the levels the reconciler believes. Evaluate exactly ONCE,
+  /// after collect_phase and before begin_actuation_phase.
+  [[nodiscard]] bool context_skippable(PowerState effective) const;
 
   /// True when the steady-green stride schedule says the upcoming cycle
   /// sweeps anyway (keeps per-slot staleness clocks bounded).
@@ -412,6 +465,13 @@ class CappingManager final : public PowerManagerBase {
   /// `report`.
   void context_phase(Watts measured, const std::vector<hw::Node>& nodes,
                      const sched::Scheduler& scheduler, ManagerReport& report);
+
+  /// Stands in for context_phase on a cycle context_skippable() cleared:
+  /// counts the skip. The persistent context from the last build stays in
+  /// place for select_phase — on a skippable cycle it has the node set
+  /// the skipped build would have produced, and the engine reads nothing
+  /// else on a green tick inside the T_g wait.
+  void skip_context_phase();
 
   /// Runs Algorithm 1 against the context built by context_phase,
   /// overriding the classification inputs: the zone tree passes synthetic
@@ -597,6 +657,16 @@ class CappingManager final : public PowerManagerBase {
   /// and the reconciler's outgoing work.
   std::vector<LevelCommand> delivered_scratch_;
   ActuationReconciler::CycleWork recon_work_;
+
+  // --- Context skip (context_skippable) --------------------------------
+  /// The last context build was clean and every sweep since was quiet;
+  /// cleared by candidate churn and warm restart.
+  bool quiet_since_build_ = false;
+  /// A build was skipped since the last one. The skipped builds would have
+  /// advanced reconciler observed-cycle stamps; checkpoint() applies that
+  /// advance to the image.
+  bool observation_lag_ = false;
+  std::uint64_t context_skips_ = 0;
 
   // --- Incremental context plane (params_.incremental_context) ---------
   // Valid only between builds of the persistent scratch_ctx_ through the

@@ -253,15 +253,16 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   const bool training = report.training;
   const std::size_t running_jobs = scheduler.running_count();
 
-  // Phase A — per-zone gate + telemetry. The gate itself is O(1) per zone
-  // and touches only that zone's state, so it runs serially up front; the
-  // sweep that follows goes to the pool only when at least two zones
-  // actually collect. A quiescent (or steady-green strided) cycle
-  // otherwise pays a pool handoff per phase for zero work per zone — the
-  // ~20x quiescent-cycle slowdown recorded in BENCH_control_cycle.json
-  // before this gate existed. The gate is still evaluated exactly once
-  // per zone, strictly before phase B, mirroring the flat cycle's
-  // single-evaluation contract.
+  // Phase A — per-zone collect decision + telemetry + context decision.
+  // The collect gate is O(1) per zone and touches only that zone's state,
+  // so it runs serially up front; the sweep that follows goes to the pool
+  // only when at least two zones actually collect. A quiescent (or
+  // steady-green strided) cycle otherwise pays a pool handoff per phase
+  // for zero work per zone — the ~20x quiescent-cycle slowdown recorded
+  // in BENCH_control_cycle.json before this gate existed. Each decision
+  // is made exactly once per zone, strictly before phase B, mirroring the
+  // flat cycle: the collect gate before the sweep, the context decision
+  // (the shard's own skip predicate) after it.
   for (std::size_t z = 0; z < zones_.size(); ++z) {
     Zone& zone = zones_[z];
     CappingManager& m = *zone.shard;
@@ -269,6 +270,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
     zone.decision = CycleDecision{};
     zone.share = Watts{0.0};
     zone.transitions = 0;
+    zone.skipped = false;
 
     if (zone.down) {
       // Crashed shard: no gate, no sweep, no decision — only the
@@ -305,14 +307,9 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
     }
   }
   std::size_t collecting_zones = 0;
-  std::size_t active_zones = 0;
-  for (const Zone& zone : zones_) {
-    collecting_zones += zone.collected ? 1 : 0;
-    active_zones += zone.active ? 1 : 0;
-  }
+  for (const Zone& zone : zones_) collecting_zones += zone.collected ? 1 : 0;
   common::ThreadPool* const collect_pool =
       collecting_zones >= 2 ? pool_ : nullptr;
-  common::ThreadPool* const active_pool = active_zones >= 2 ? pool_ : nullptr;
   common::maybe_parallel_for(
       collect_pool, zones_.size(), 2, 1,
       [&](std::size_t begin, std::size_t end) {
@@ -321,6 +318,17 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
           zone.shard->collect_phase(zone.collected, nodes, now, running_jobs);
         }
       });
+  // Context decision: a gated green zone whose build the skip predicate
+  // proves idle is simply not active this cycle (never true off green).
+  std::size_t active_zones = 0;
+  for (Zone& zone : zones_) {
+    if (zone.active && zone.shard->context_skippable(effective)) {
+      zone.active = false;
+      zone.skipped = true;
+    }
+    active_zones += zone.active ? 1 : 0;
+  }
+  common::ThreadPool* const active_pool = active_zones >= 2 ? pool_ : nullptr;
 
   // Phase B — actuation-plane hardware events (reboots, due deliveries)
   // mutate nodes: strictly serial, fixed zone order. A reboot resets a
@@ -376,9 +384,13 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   const auto publish = [&] {
     std::size_t unresponsive_now = 0;
     std::size_t active = 0;
+    std::size_t sweeps = 0;
+    std::size_t skips = 0;
     for (Zone& zone : zones_) {
       unresponsive_now += zone.shard->reconciler().unresponsive_count();
       if (zone.active) ++active;
+      if (zone.collected) ++sweeps;
+      if (zone.skipped) ++skips;
       if (reg_ != nullptr) {
         reg_->set(zone.power_gauge, zone.power.value());
         reg_->set(zone.share_gauge, zone.share.value());
@@ -387,7 +399,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
       }
     }
     active_last_cycle_ = active;
-    metrics_.publish(report, unresponsive_now);
+    metrics_.publish(report, unresponsive_now, sweeps, skips);
   };
 
   // Training: the system runs unmanaged — only due deliveries land.
@@ -408,6 +420,15 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t z = begin; z < end; ++z) {
           Zone& zone = zones_[z];
+          if (zone.skipped) {
+            // The skipped build's context would hold every member, clean
+            // and at its newest sample, in slot order: the same power fold
+            // over the histories. Capacity is left as the last build set
+            // it — a yellow-only hint, and a green cycle never reads it.
+            zone.shard->skip_context_phase();
+            zone.power = zone.shard->collector().estimated_candidate_power();
+            continue;
+          }
           if (!zone.active) continue;
           zone.shard->context_phase(measured, nodes, scheduler, zone.report);
           const PolicyContext& ctx = zone.shard->context();
@@ -545,7 +566,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
       continue;
     }
     zone.transitions = m.actuate_phase(zone.decision, nodes);
-    if (zone.active) {
+    if (zone.active || zone.skipped) {
       const ManagerReport& zr = zone.report;
       zone.hints_valid =
           zr.stale_nodes == 0 && zr.missing_nodes == 0 &&

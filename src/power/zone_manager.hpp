@@ -34,7 +34,11 @@
 // and still reset their green timer. Hints are invalidated by any global
 // state change, any scheduler job start/finish, and any reboot in the
 // zone; degraded telemetry never produces a clean build, so faulted
-// zones simply stay fully active (the flat behaviour).
+// zones simply stay fully active (the flat behaviour). In green, a gated
+// zone whose shard's context_skippable() clears the build (a quiet green
+// tick inside the T_g wait) is not active either: it still sweeps and
+// ticks its green timer, and its power hint is refolded from the newest
+// samples the skipped build would have summed.
 #pragma once
 
 #include <cstdint>
@@ -191,6 +195,7 @@ class ZoneTreeManager final : public PowerManagerBase {
 
     // Per-cycle scratch.
     bool active = false;   ///< built context + selected this cycle
+    bool skipped = false;  ///< gated, but the context build was provably idle
     bool collected = false;
     bool down = false;     ///< zone shard crashed this cycle
     Watts share{0.0};

@@ -85,6 +85,7 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   last_delivery_changed_ = std::move(next_changed);
   sampled_epoch_ = std::move(next_epoch);
   watched_.assign(candidates_.size(), 0);
+  last_sweep_quiet_ = false;
   if (params_.faults.enabled()) fault_injector_.ensure_nodes(candidates_);
 
   slot_of_.assign(
@@ -128,10 +129,13 @@ void Collector::set_watch(const std::vector<hw::NodeId>& ids) {
   }
 }
 
-void Collector::deliver(std::size_t slot, const NodeSample& s) {
+bool Collector::deliver(std::size_t slot, const NodeSample& s) {
+  const bool has_prev = hist_size_[slot] > 0;
+  const bool same_level =
+      has_prev && history_at_slot(slot).back().level == s.level;
   if (track_) {
     bool changed = true;
-    if (hist_size_[slot] > 0) {
+    if (has_prev) {
       const NodeSample& prev = history_at_slot(slot).back();
       // The fields a NodeView consumes, PLUS the raw counters the power
       // model reads: the manager re-derives P'(x) from the node's live
@@ -141,7 +145,7 @@ void Collector::deliver(std::size_t slot, const NodeSample& s) {
       // participates only when a thermal policy will actually read it —
       // otherwise the RC model's asymptotic drift would dirty every busy
       // slot every cycle.
-      changed = s.level != prev.level || s.busy != prev.busy ||
+      changed = !same_level || s.busy != prev.busy ||
                 s.estimated_power.value() != prev.estimated_power.value() ||
                 s.cpu_utilization != prev.cpu_utilization ||
                 s.nic_bytes.value() != prev.nic_bytes.value() ||
@@ -159,11 +163,12 @@ void Collector::deliver(std::size_t slot, const NodeSample& s) {
     confirm_cycle_[slot] = s.cycle;
   }
   push_history(slot, s);
+  return same_level;
 }
 
 void Collector::collect_one(std::size_t slot, const hw::Node& node,
                             Seconds now, std::uint64_t& delivered,
-                            std::uint64_t& lost) {
+                            std::uint64_t& lost, std::uint64_t& unquiet) {
   Monitored& m = slots_[slot];
   const TransportParams& tp = params_.transport;
 
@@ -215,35 +220,44 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
   NodeSample sample = m.agent.sample(node, now);
   sample.cycle = cycle_counter_;
 
+  // Quiet-sweep bookkeeping: this slot keeps the sweep quiet only with
+  // exactly one delivery, uncorrupted, at the previous delivery's level.
+  int deliveries = 0;
+  bool quiet = true;
+
   // Fault disposition first: a report that never leaves the node sees no
   // transport at all. Corruption mangles the sample in place and lets it
   // travel — the consumer, not the transport, has to notice.
-  if (params_.faults.enabled() &&
-      fault_injector_.apply(sample).suppressed) {
+  FaultInjector::Outcome fault;
+  if (params_.faults.enabled()) fault = fault_injector_.apply(sample);
+  if (fault.suppressed) {
     // Anything already in flight still arrives (it was sent before the
     // fault), so fall through to the delivery loop below.
   } else if (tp.loss_rate > 0.0 && m.transport_rng.bernoulli(tp.loss_rate)) {
     ++lost;
   } else if (tp.delay_cycles == 0) {
-    deliver(slot, sample);
+    quiet = deliver(slot, sample) && !fault.corrupted;
+    ++deliveries;
     // Under dedup the transport is exact, so the delivered entry mirrors
     // the node's state at this epoch — the next sweep can certify "still
     // identical" from the epoch alone.
     if (dedup_active_) sampled_epoch_[slot] = node.state_epoch();
     ++delivered;
   } else {
-    m.in_flight.push_back(
-        InFlight{cycle_counter_ + static_cast<std::uint64_t>(tp.delay_cycles),
-                 sample});
+    m.in_flight.push_back(InFlight{sample, fault.corrupted});
   }
 
   // Deliver whatever has arrived by now (in order).
+  const auto delay = static_cast<std::uint64_t>(tp.delay_cycles);
   while (!m.in_flight.empty() &&
-         m.in_flight.front().deliver_at_cycle <= cycle_counter_) {
-    deliver(slot, m.in_flight.front().sample);
+         m.in_flight.front().sample.cycle + delay <= cycle_counter_) {
+    const InFlight& arrived = m.in_flight.front();
+    quiet = deliver(slot, arrived.sample) && !arrived.corrupted && quiet;
+    ++deliveries;
     m.in_flight.pop_front();
     ++delivered;
   }
+  if (deliveries != 1 || !quiet) ++unquiet;
 }
 
 void Collector::collect(const std::vector<hw::Node>& nodes, Seconds now,
@@ -255,17 +269,24 @@ void Collector::collect(const std::vector<hw::Node>& nodes, Seconds now,
       static_cast<std::size_t>(candidates_.back()) >= nodes.size()) {
     throw std::out_of_range("Collector::collect: candidate id out of range");
   }
+  std::atomic<std::uint64_t> unquiet_slots{0};
   common::maybe_parallel_for(
       pool_, candidates_.size(), params_.parallel_threshold,
       params_.parallel_grain, [&](std::size_t begin, std::size_t end) {
         std::uint64_t delivered = 0;
         std::uint64_t lost = 0;
+        std::uint64_t unquiet = 0;
         for (std::size_t i = begin; i < end; ++i) {
-          collect_one(i, nodes[candidates_[i]], now, delivered, lost);
+          collect_one(i, nodes[candidates_[i]], now, delivered, lost,
+                      unquiet);
         }
         samples_delivered_.fetch_add(delivered, std::memory_order_relaxed);
         samples_lost_.fetch_add(lost, std::memory_order_relaxed);
+        if (unquiet != 0) {
+          unquiet_slots.fetch_add(unquiet, std::memory_order_relaxed);
+        }
       });
+  last_sweep_quiet_ = unquiet_slots.load(std::memory_order_relaxed) == 0;
   last_manager_utilization_ =
       cost_model_.cpu_utilization(candidates_.size(), monitored_jobs,
                                   cycle_period_);
@@ -273,6 +294,7 @@ void Collector::collect(const std::vector<hw::Node>& nodes, Seconds now,
 
 void Collector::skip_cycle(std::size_t monitored_jobs) {
   ++cycle_counter_;
+  last_sweep_quiet_ = false;
   last_manager_utilization_ =
       cost_model_.cpu_utilization(0, monitored_jobs, cycle_period_);
 }

@@ -187,6 +187,14 @@ class Collector {
   [[nodiscard]] double last_cycle_manager_utilization() const {
     return last_manager_utilization_;
   }
+  /// True when the last collection cycle was a real sweep (not a
+  /// skip_cycle tick) in which every candidate delivered exactly one
+  /// uncorrupted sample — a dedup confirmation counts — at the same DVFS
+  /// level as that slot's previous delivery. A lost, suppressed, late or
+  /// doubled report, a corrupted payload, or a level change (reboot,
+  /// partial transition, operator) on any slot makes it false; so does a
+  /// candidate-set change. The manager's context-skip predicate reads it.
+  [[nodiscard]] bool last_sweep_quiet() const { return last_sweep_quiet_; }
   /// Reports dropped by the transport so far.
   [[nodiscard]] std::uint64_t samples_lost() const { return samples_lost_; }
   /// Reports delivered into histories so far.
@@ -217,9 +225,11 @@ class Collector {
   void restore_cycle_count(std::uint64_t cycles) { cycle_counter_ = cycles; }
 
  private:
+  /// A report in transit; it lands on the first sweep at or after
+  /// sample.cycle + transport.delay_cycles.
   struct InFlight {
-    std::uint64_t deliver_at_cycle;
     NodeSample sample;
+    bool corrupted;
   };
   /// The sweep-local state of one candidate (histories live in the shared
   /// striped arena, see hist_store_). Two workers sampling different
@@ -234,14 +244,17 @@ class Collector {
 
   /// One candidate's sweep step: sample, transport (loss/delay), deliver.
   /// Samples one node and routes the report through the transport model.
-  /// Delivered/lost counts accumulate into the caller's locals so a sweep
+  /// Delivered/lost counts — and `unquiet`, the slots that broke
+  /// last_sweep_quiet() — accumulate into the caller's locals so a sweep
   /// pays one atomic update per chunk instead of one per sample.
   void collect_one(std::size_t slot, const hw::Node& node, Seconds now,
-                   std::uint64_t& delivered, std::uint64_t& lost);
+                   std::uint64_t& delivered, std::uint64_t& lost,
+                   std::uint64_t& unquiet);
 
   /// Delivers a sample into slot's history, maintaining the incremental
-  /// change-tracking state first (no-op when tracking is off).
-  void deliver(std::size_t slot, const NodeSample& s);
+  /// change-tracking state first (no-op when tracking is off). Returns
+  /// whether the slot already held a sample at the same DVFS level.
+  bool deliver(std::size_t slot, const NodeSample& s);
 
   /// Appends a delivered sample to slot's history ring in the arena.
   void push_history(std::size_t slot, const NodeSample& s) {
@@ -304,6 +317,7 @@ class Collector {
   bool track_ = false;
   bool dedup_temperature_ = false;
   bool dedup_active_ = false;
+  bool last_sweep_quiet_ = false;
   std::size_t hist_stride_ = 0;           ///< == candidates_.size()
   std::uint32_t hist_depth_ = 1;          ///< == params_.history_depth
   std::uint64_t cycle_counter_ = 0;

@@ -573,6 +573,7 @@ struct EpisodeResult {
   std::vector<hw::Level> levels;
   std::string prom;
   CappingManager::IncrementalStats stats;
+  std::uint64_t context_skips = 0;
 };
 
 std::string strip_spans(const std::string& text) {
@@ -692,6 +693,7 @@ EpisodeResult run_spike_episode(const char* policy, bool incremental,
     out.stats.delta_builds += st.delta_builds;
     out.stats.noop_builds += st.noop_builds;
     out.stats.dirty_slots += st.dirty_slots;
+    out.context_skips += mgr->zone(z).context_skips();
   }
   return out;
 }
@@ -707,9 +709,9 @@ void expect_episode_identical(const EpisodeResult& a, const EpisodeResult& b) {
 
 TEST(ZoneTree, IncrementalEpisodeMatchesRebuildBitForBit) {
   const EpisodeResult inc = run_spike_episode("mpc-c", true, 1, false, false);
-  // The delta plane actually engaged: quiet cycles resolved as no-ops and
-  // delta builds dominate the full assemblies.
-  EXPECT_GT(inc.stats.noop_builds, 0u);
+  // The delta plane actually engaged: quiet T_g-wait cycles skipped their
+  // builds outright, and delta builds dominate the full assemblies.
+  EXPECT_GT(inc.context_skips, 0u);
   EXPECT_GT(inc.stats.delta_builds, inc.stats.full_builds);
   const EpisodeResult reb = run_spike_episode("mpc-c", false, 1, false, false);
   EXPECT_EQ(reb.stats.delta_builds, 0u);
@@ -811,6 +813,7 @@ TEST(ZoneTree, DemandStepDrainsInBoundedCyclesOnTheDeltaPath) {
   const int warm = episode();
   EXPECT_EQ(cold, warm);
   CappingManager::IncrementalStats total;
+  std::uint64_t context_skips = 0;
   for (std::size_t z = 0; z < mgr.zone_count(); ++z) {
     const CappingManager::IncrementalStats& st =
         mgr.zone(z).incremental_stats();
@@ -818,11 +821,12 @@ TEST(ZoneTree, DemandStepDrainsInBoundedCyclesOnTheDeltaPath) {
     total.delta_builds += st.delta_builds;
     total.noop_builds += st.noop_builds;
     total.dirty_slots += st.dirty_slots;
+    context_skips += mgr.zone(z).context_skips();
   }
-  // The episodes ran on the delta path: quiet drain cycles resolved as
-  // no-ops, and the dirty waves touched only the shed cohort — not the
-  // whole candidate set every active cycle.
-  EXPECT_GT(total.noop_builds, 0u);
+  // The episodes ran on the delta path: quiet drain cycles skipped their
+  // builds outright, and the dirty waves touched only the shed cohort —
+  // not the whole candidate set every active cycle.
+  EXPECT_GT(context_skips, 0u);
   EXPECT_GT(total.delta_builds, total.full_builds);
   EXPECT_LT(total.dirty_slots,
             static_cast<std::uint64_t>(cold + warm) * 8192u / 2u);
