@@ -33,14 +33,16 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   // the sweep itself never mutates any shared structure (a parallel sweep
   // only touches distinct pre-existing slots). Retained nodes carry their
   // state (agent RNG, history, in-flight reports) over — their history
-  // column moves from the old arena stripe-by-stripe; dropped nodes lose
-  // theirs.
+  // column moves from the old arena stripe-by-stripe and their report
+  // ring to their new slot's ring; dropped nodes lose theirs.
   std::vector<Monitored> next_slots;
   next_slots.reserve(next.size());
   const std::size_t depth = params_.history_depth;
   std::vector<NodeSample> next_store(depth * next.size());
   std::vector<std::uint32_t> next_head(next.size(), 0);
   std::vector<std::uint32_t> next_size(next.size(), 0);
+  common::RingArena<InFlight> next_in_flight(
+      next.size(), static_cast<std::uint32_t>(params_.transport.delay_cycles));
   for (std::size_t s = 0; s < next.size(); ++s) {
     const hw::NodeId id = next[s];
     const std::uint32_t old_slot = slot_of(id);
@@ -52,11 +54,11 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
       }
       next_head[s] = hist_head_[old_slot];
       next_size[s] = hist_size_[old_slot];
+      next_in_flight.adopt(s, in_flight_, old_slot);
     } else {
       next_slots.push_back(
           Monitored{ProfilingAgent(id, params_.agent, rng_.fork(id)),
-                    rng_.fork(common::hash_tag("transport") ^ id),
-                    {}});
+                    rng_.fork(common::hash_tag("transport") ^ id)});
     }
   }
   // Change-tracking state travels with the history it describes.
@@ -79,6 +81,7 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   hist_store_ = std::move(next_store);
   hist_head_ = std::move(next_head);
   hist_size_ = std::move(next_size);
+  in_flight_ = std::move(next_in_flight);
   hist_stride_ = candidates_.size();
   change_cycle_ = std::move(next_change);
   confirm_cycle_ = std::move(next_confirm);
@@ -167,8 +170,7 @@ bool Collector::deliver(std::size_t slot, const NodeSample& s) {
 }
 
 void Collector::collect_one(std::size_t slot, const hw::Node& node,
-                            Seconds now, std::uint64_t& delivered,
-                            std::uint64_t& lost, std::uint64_t& unquiet) {
+                            Seconds now, SweepTally& tally) {
   Monitored& m = slots_[slot];
   const TransportParams& tp = params_.transport;
 
@@ -191,7 +193,7 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
          node.temperature_at(now).value() ==
              history_at_slot(slot).back().temperature.value())) {
       confirm_cycle_[slot] = cycle_counter_;
-      ++delivered;
+      ++tally.delivered;
       return;
     }
     const NodeSample& prev = history_at_slot(slot).back();
@@ -212,52 +214,58 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
       // The sample WOULD have been delivered (exact transport, no loss),
       // so the externally visible counter must say so — `samples_delivered`
       // is exported and has to stay bit-identical with dedup off.
-      ++delivered;
+      ++tally.delivered;
       return;  // dedup_active_ implies delay==0: nothing can be in flight
     }
   }
-
-  NodeSample sample = m.agent.sample(node, now);
-  sample.cycle = cycle_counter_;
 
   // Quiet-sweep bookkeeping: this slot keeps the sweep quiet only with
   // exactly one delivery, uncorrupted, at the previous delivery's level.
   int deliveries = 0;
   bool quiet = true;
 
+  // Deliver whatever has arrived by now (in order) before this sweep's
+  // report is queued. A report taken this sweep is never due this sweep
+  // (delay >= 1), so draining first delivers exactly what queuing first
+  // would, and it keeps the ring within its delay_cycles bound.
+  const auto delay = static_cast<std::uint64_t>(tp.delay_cycles);
+  while (in_flight_.size(slot) != 0 &&
+         in_flight_.front(slot).sample.cycle + delay <= cycle_counter_) {
+    const InFlight& arrived = in_flight_.front(slot);
+    quiet = deliver(slot, arrived.sample) && !arrived.corrupted && quiet;
+    ++deliveries;
+    in_flight_.pop_front(slot);
+    ++tally.delivered;
+  }
+
+  NodeSample sample = m.agent.sample(node, now);
+  sample.cycle = cycle_counter_;
+
   // Fault disposition first: a report that never leaves the node sees no
   // transport at all. Corruption mangles the sample in place and lets it
-  // travel — the consumer, not the transport, has to notice.
+  // travel — the consumer, not the transport, has to notice. Anything
+  // already in flight when a fault silences the node still arrived above
+  // (it was sent before the fault).
   FaultInjector::Outcome fault;
-  if (params_.faults.enabled()) fault = fault_injector_.apply(sample);
+  if (params_.faults.enabled()) {
+    fault = fault_injector_.apply(sample, tally.faults);
+  }
   if (fault.suppressed) {
-    // Anything already in flight still arrives (it was sent before the
-    // fault), so fall through to the delivery loop below.
+    // Never left the node.
   } else if (tp.loss_rate > 0.0 && m.transport_rng.bernoulli(tp.loss_rate)) {
-    ++lost;
-  } else if (tp.delay_cycles == 0) {
-    quiet = deliver(slot, sample) && !fault.corrupted;
+    ++tally.lost;
+  } else if (delay == 0) {
+    quiet = deliver(slot, sample) && !fault.corrupted && quiet;
     ++deliveries;
     // Under dedup the transport is exact, so the delivered entry mirrors
     // the node's state at this epoch — the next sweep can certify "still
     // identical" from the epoch alone.
     if (dedup_active_) sampled_epoch_[slot] = node.state_epoch();
-    ++delivered;
+    ++tally.delivered;
   } else {
-    m.in_flight.push_back(InFlight{sample, fault.corrupted});
+    in_flight_.push_back(slot, InFlight{sample, fault.corrupted});
   }
-
-  // Deliver whatever has arrived by now (in order).
-  const auto delay = static_cast<std::uint64_t>(tp.delay_cycles);
-  while (!m.in_flight.empty() &&
-         m.in_flight.front().sample.cycle + delay <= cycle_counter_) {
-    const InFlight& arrived = m.in_flight.front();
-    quiet = deliver(slot, arrived.sample) && !arrived.corrupted && quiet;
-    ++deliveries;
-    m.in_flight.pop_front();
-    ++delivered;
-  }
-  if (deliveries != 1 || !quiet) ++unquiet;
+  if (deliveries != 1 || !quiet) ++tally.unquiet;
 }
 
 void Collector::collect(const std::vector<hw::Node>& nodes, Seconds now,
@@ -270,26 +278,32 @@ void Collector::collect(const std::vector<hw::Node>& nodes, Seconds now,
     throw std::out_of_range("Collector::collect: candidate id out of range");
   }
   std::atomic<std::uint64_t> unquiet_slots{0};
+  const bool faults = params_.faults.enabled();
   common::maybe_parallel_for(
       pool_, candidates_.size(), params_.parallel_threshold,
       params_.parallel_grain, [&](std::size_t begin, std::size_t end) {
-        std::uint64_t delivered = 0;
-        std::uint64_t lost = 0;
-        std::uint64_t unquiet = 0;
+        SweepTally tally;
         for (std::size_t i = begin; i < end; ++i) {
-          collect_one(i, nodes[candidates_[i]], now, delivered, lost,
-                      unquiet);
+          collect_one(i, nodes[candidates_[i]], now, tally);
         }
-        samples_delivered_.fetch_add(delivered, std::memory_order_relaxed);
-        samples_lost_.fetch_add(lost, std::memory_order_relaxed);
-        if (unquiet != 0) {
-          unquiet_slots.fetch_add(unquiet, std::memory_order_relaxed);
+        samples_delivered_.fetch_add(tally.delivered,
+                                     std::memory_order_relaxed);
+        samples_lost_.fetch_add(tally.lost, std::memory_order_relaxed);
+        if (tally.unquiet != 0) {
+          unquiet_slots.fetch_add(tally.unquiet, std::memory_order_relaxed);
         }
+        if (faults) fault_injector_.fold(tally.faults);
       });
   last_sweep_quiet_ = unquiet_slots.load(std::memory_order_relaxed) == 0;
   last_manager_utilization_ =
       cost_model_.cpu_utilization(candidates_.size(), monitored_jobs,
                                   cycle_period_);
+}
+
+void Collector::restore_cycle_count(std::uint64_t cycles) {
+  samples_lost_.fetch_add(in_flight_.total_size(), std::memory_order_relaxed);
+  in_flight_.clear();
+  cycle_counter_ = cycles;
 }
 
 void Collector::skip_cycle(std::size_t monitored_jobs) {

@@ -9,10 +9,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "common/ring_arena.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "telemetry/agent.hpp"
@@ -89,7 +89,8 @@ class Collector {
   Collector(CollectorParams params, common::Rng rng);
 
   /// Replaces the candidate set; agents for new nodes are created,
-  /// agents (and histories) for removed nodes are dropped.
+  /// agents (and histories, and reports still in flight) for removed
+  /// nodes are dropped. A re-added node starts with an empty queue.
   void set_candidate_set(const std::vector<hw::NodeId>& nodes);
   [[nodiscard]] const std::vector<hw::NodeId>& candidate_set() const {
     return candidates_;
@@ -197,6 +198,20 @@ class Collector {
   [[nodiscard]] bool last_sweep_quiet() const { return last_sweep_quiet_; }
   /// Reports dropped by the transport so far.
   [[nodiscard]] std::uint64_t samples_lost() const { return samples_lost_; }
+  /// Reports taken but not yet delivered (delayed transport), over every
+  /// candidate / for candidate_set()[slot]. A slot never holds more than
+  /// transport.delay_cycles of them.
+  [[nodiscard]] std::size_t reports_in_flight() const {
+    return in_flight_.total_size();
+  }
+  [[nodiscard]] std::size_t reports_in_flight_at_slot(std::size_t slot) const {
+    return in_flight_.size(slot);
+  }
+  /// Entries the in-flight report arena holds room for:
+  /// transport.delay_cycles × candidates, so 0 on an undelayed transport.
+  [[nodiscard]] std::size_t in_flight_capacity() const {
+    return in_flight_.capacity();
+  }
   /// Reports delivered into histories so far.
   [[nodiscard]] std::uint64_t samples_delivered() const {
     return samples_delivered_;
@@ -221,8 +236,12 @@ class Collector {
   /// Warm restart: resumes the cycle clock from a checkpoint. Believed/
   /// observed stamps in the manager's reconciler are in this timebase, so
   /// a restarted collector restarting from zero would skew every ack and
-  /// staleness comparison until the clock caught up.
-  void restore_cycle_count(std::uint64_t cycles) { cycle_counter_ = cycles; }
+  /// staleness comparison until the clock caught up. Reports still in
+  /// flight were addressed to the pre-restart manager: they are discarded
+  /// and counted in samples_lost() (their cycle stamps are in the old
+  /// timebase, and a clock moved backwards would otherwise hold them
+  /// queued past the delay_cycles bound).
+  void restore_cycle_count(std::uint64_t cycles);
 
  private:
   /// A report in transit; it lands on the first sweep at or after
@@ -231,25 +250,29 @@ class Collector {
     NodeSample sample;
     bool corrupted;
   };
-  /// The sweep-local state of one candidate (histories live in the shared
-  /// striped arena, see hist_store_). Two workers sampling different
-  /// candidates share no state. The transport RNG is per node: report
-  /// loss is drawn per candidate, not from one shared sequence, which is
-  /// what makes the sweep order-independent.
+  /// The sweep-local state of one candidate (histories and in-flight
+  /// reports live in shared arenas, see hist_store_ and in_flight_). Two
+  /// workers sampling different candidates share no state. The transport
+  /// RNG is per node: report loss is drawn per candidate, not from one
+  /// shared sequence, which is what makes the sweep order-independent.
   struct Monitored {
     ProfilingAgent agent;
     common::Rng transport_rng;
-    std::deque<InFlight> in_flight;
+  };
+  /// One sweep chunk's counts, published once per chunk so a sweep pays
+  /// a handful of atomic updates per chunk instead of several per sample.
+  struct SweepTally {
+    std::uint64_t delivered = 0;
+    std::uint64_t lost = 0;
+    std::uint64_t unquiet = 0;  ///< slots that broke last_sweep_quiet()
+    FaultInjector::Tally faults;
   };
 
-  /// One candidate's sweep step: sample, transport (loss/delay), deliver.
-  /// Samples one node and routes the report through the transport model.
-  /// Delivered/lost counts — and `unquiet`, the slots that broke
-  /// last_sweep_quiet() — accumulate into the caller's locals so a sweep
-  /// pays one atomic update per chunk instead of one per sample.
+  /// One candidate's sweep step: deliver the reports that are due, then
+  /// sample the node and route the new report through the transport
+  /// model (faults, loss, delay).
   void collect_one(std::size_t slot, const hw::Node& node, Seconds now,
-                   std::uint64_t& delivered, std::uint64_t& lost,
-                   std::uint64_t& unquiet);
+                   SweepTally& tally);
 
   /// Delivers a sample into slot's history, maintaining the incremental
   /// change-tracking state first (no-op when tracking is off). Returns
@@ -295,6 +318,13 @@ class Collector {
   std::vector<NodeSample> hist_store_;
   std::vector<std::uint32_t> hist_head_;  ///< next stripe to write, per slot
   std::vector<std::uint32_t> hist_size_;  ///< samples held, per slot
+  /// Reports in transit, one FIFO ring of transport.delay_cycles entries
+  /// per slot in one slot-major arena (no arena at all on an undelayed
+  /// transport). Sample cycles are distinct and increasing and due
+  /// reports are delivered before a slot queues its new one, so at most
+  /// delay_cycles reports are ever in flight per slot: the ring bound is
+  /// exact, and a push past it throws instead of overwriting.
+  common::RingArena<InFlight> in_flight_;
   /// Incremental-context change tracking (configure_dedup). All three are
   /// sized with the candidate set and carried across churn like the
   /// histories; maintenance is fully skipped when track_ is off.

@@ -36,7 +36,8 @@ void FaultInjector::ensure_nodes(const std::vector<hw::NodeId>& ids) {
   }
 }
 
-FaultInjector::Outcome FaultInjector::apply(NodeSample& sample) {
+FaultInjector::Outcome FaultInjector::apply(NodeSample& sample,
+                                            Tally& tally) {
   Outcome out;
   if (static_cast<std::size_t>(sample.node) >= states_.size() ||
       !states_[sample.node].known) {
@@ -52,18 +53,21 @@ FaultInjector::Outcome FaultInjector::apply(NodeSample& sample) {
     if (--st.crash_cycles_left == 0) {
       out.recovered = true;
       st.agent_up = true;
-      recovery_events_.fetch_add(1, std::memory_order_relaxed);
+      ++tally.recoveries;
+      --tally.silent_delta;  // may go silent again below (dropout)
     } else {
       out.suppressed = true;
-      samples_suppressed_.fetch_add(1, std::memory_order_relaxed);
+      ++tally.suppressed;
       return out;
     }
   } else if (params_.crash_rate > 0.0 && st.rng.bernoulli(params_.crash_rate)) {
+    // A node whose agent was already down was already silent.
+    if (st.agent_up) ++tally.silent_delta;
     st.crash_cycles_left = params_.crash_duration_cycles;
     out.crash_started = true;
     out.suppressed = true;
-    crash_events_.fetch_add(1, std::memory_order_relaxed);
-    samples_suppressed_.fetch_add(1, std::memory_order_relaxed);
+    ++tally.crashes;
+    ++tally.suppressed;
     return out;
   }
 
@@ -72,14 +76,16 @@ FaultInjector::Outcome FaultInjector::apply(NodeSample& sample) {
     if (params_.agent_dropout_rate > 0.0 &&
         st.rng.bernoulli(params_.agent_dropout_rate)) {
       st.agent_up = false;
-      agent_dropouts_.fetch_add(1, std::memory_order_relaxed);
+      ++tally.dropouts;
+      ++tally.silent_delta;
     }
   } else if (st.rng.bernoulli(params_.agent_recovery_rate)) {
     st.agent_up = true;
+    --tally.silent_delta;
   }
   if (!st.agent_up) {
     out.suppressed = true;
-    samples_suppressed_.fetch_add(1, std::memory_order_relaxed);
+    ++tally.suppressed;
     return out;
   }
 
@@ -89,7 +95,7 @@ FaultInjector::Outcome FaultInjector::apply(NodeSample& sample) {
   if (params_.corruption_rate > 0.0 &&
       st.rng.bernoulli(params_.corruption_rate)) {
     out.corrupted = true;
-    samples_corrupted_.fetch_add(1, std::memory_order_relaxed);
+    ++tally.corrupted;
     if (st.rng.bernoulli(0.5)) {
       sample.estimated_power = -sample.estimated_power - Watts{1.0};
     } else {
@@ -100,20 +106,22 @@ FaultInjector::Outcome FaultInjector::apply(NodeSample& sample) {
   return out;
 }
 
+void FaultInjector::fold(const Tally& tally) {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  samples_suppressed_.fetch_add(tally.suppressed, kRelaxed);
+  samples_corrupted_.fetch_add(tally.corrupted, kRelaxed);
+  agent_dropouts_.fetch_add(tally.dropouts, kRelaxed);
+  crash_events_.fetch_add(tally.crashes, kRelaxed);
+  recovery_events_.fetch_add(tally.recoveries, kRelaxed);
+  silent_nodes_.fetch_add(tally.silent_delta, kRelaxed);
+}
+
 bool FaultInjector::is_silent(hw::NodeId id) const {
   if (static_cast<std::size_t>(id) >= states_.size() || !states_[id].known) {
     return false;
   }
   const NodeState& st = states_[id];
   return st.crash_cycles_left > 0 || !st.agent_up;
-}
-
-std::size_t FaultInjector::silent_count() const {
-  std::size_t n = 0;
-  for (const NodeState& st : states_) {
-    if (st.known && (st.crash_cycles_left > 0 || !st.agent_up)) ++n;
-  }
-  return n;
 }
 
 }  // namespace pcap::telemetry

@@ -10,7 +10,9 @@
 // node's own RNG stream (Rng::stream(id)), and apply() touches only state
 // owned by its node id. A parallel collection sweep may therefore call
 // apply() concurrently for distinct nodes and produce results that are
-// bit-identical to a serial sweep. Shared counters are relaxed atomics.
+// bit-identical to a serial sweep. apply() counts its events into a
+// caller-owned Tally; the sweep folds each chunk's tally into the shared
+// (relaxed atomic) counters once, so workers do not contend per event.
 #pragma once
 
 #include <atomic>
@@ -60,6 +62,20 @@ class FaultInjector {
     bool recovered = false;      ///< node rejoined this cycle
   };
 
+  /// Events counted by apply() calls not yet folded into the injector's
+  /// counters. One per sweep chunk: apply() writes only the caller's
+  /// tally, fold() publishes it.
+  struct Tally {
+    std::uint64_t suppressed = 0;
+    std::uint64_t corrupted = 0;
+    std::uint64_t dropouts = 0;
+    std::uint64_t crashes = 0;
+    std::uint64_t recoveries = 0;
+    /// Net change in silent nodes (crash start, crash expiry, dropout,
+    /// agent recovery).
+    std::int64_t silent_delta = 0;
+  };
+
   FaultInjector(FaultParams params, common::Rng rng);
 
   /// Registers the nodes the collector monitors. Serial — call from
@@ -70,13 +86,21 @@ class FaultInjector {
 
   /// Advances node `sample.node`'s fault process by one cycle and applies
   /// the disposition to the freshly taken sample (possibly corrupting its
-  /// power estimate in place). Thread-safe across DISTINCT node ids.
-  Outcome apply(NodeSample& sample);
+  /// power estimate in place). Events are counted into `tally`; they
+  /// reach the counters below only through fold(). Thread-safe across
+  /// DISTINCT node ids with distinct tallies.
+  Outcome apply(NodeSample& sample, Tally& tally);
+  /// Adds a tally into the cumulative counters. Thread-safe.
+  void fold(const Tally& tally);
 
   /// Agent or node currently silent (down agent or open crash window)?
   [[nodiscard]] bool is_silent(hw::NodeId id) const;
-  /// Number of monitored nodes currently silent.
-  [[nodiscard]] std::size_t silent_count() const;
+  /// Number of registered nodes currently silent, kept up to date at each
+  /// transition (as of the last fold()): O(1), no scan of the node table.
+  [[nodiscard]] std::size_t silent_count() const {
+    return static_cast<std::size_t>(
+        silent_nodes_.load(std::memory_order_relaxed));
+  }
 
   // Cumulative ground-truth counters (relaxed atomics: sweeps update them
   // concurrently; read them only between sweeps).
@@ -117,6 +141,7 @@ class FaultInjector {
   std::atomic<std::uint64_t> agent_dropouts_{0};
   std::atomic<std::uint64_t> crash_events_{0};
   std::atomic<std::uint64_t> recovery_events_{0};
+  std::atomic<std::int64_t> silent_nodes_{0};
 };
 
 }  // namespace pcap::telemetry

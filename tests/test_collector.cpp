@@ -2,10 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <optional>
+
 #include "hw/node_spec.hpp"
+
+// Counts every global operator new in this test binary, so a test can
+// assert that a stretch of code allocates nothing. new[] and delete[]
+// forward to these by default. GCC pairs the inlined builtin new with the
+// free() below and warns; both sides are replaced here, so they match.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pcap::telemetry {
 namespace {
+
+/// Seed of the randomised properties; CI sweeps PCAP_FAULT_SEED=1..N.
+std::uint64_t fault_seed(std::uint64_t fallback) {
+  const char* env = std::getenv("PCAP_FAULT_SEED");
+  if (env == nullptr || *env == '\0') return fallback;
+  return std::strtoull(env, nullptr, 10);
+}
 
 std::vector<hw::Node> make_nodes(std::size_t n) {
   std::vector<hw::Node> nodes;
@@ -247,6 +279,211 @@ TEST(CollectorTransport, BadParamsThrow) {
   p = quiet_params();
   p.transport.delay_cycles = -1;
   EXPECT_THROW(Collector(p, common::Rng(1)), std::invalid_argument);
+}
+
+std::size_t slot_in(const Collector& c, hw::NodeId id) {
+  const auto& set = c.candidate_set();
+  return static_cast<std::size_t>(
+      std::lower_bound(set.begin(), set.end(), id) - set.begin());
+}
+
+TEST(CollectorRing, ArenaCapacityIsDelayTimesCandidates) {
+  for (const int delay : {0, 1, 3}) {
+    SCOPED_TRACE(delay);
+    CollectorParams p = quiet_params();
+    p.transport.delay_cycles = delay;
+    Collector c(p, common::Rng(41));
+    EXPECT_EQ(c.in_flight_capacity(), 0u);
+    c.set_candidate_set({0, 1, 2, 3, 4});
+    EXPECT_EQ(c.in_flight_capacity(), 5u * delay);
+    c.set_candidate_set({0, 2, 5, 6, 7, 8, 9});
+    EXPECT_EQ(c.in_flight_capacity(), 7u * delay);
+    c.set_candidate_set({});
+    EXPECT_EQ(c.in_flight_capacity(), 0u);
+  }
+}
+
+TEST(CollectorRing, DelayedSweepsAllocateNothing) {
+  for (const int delay : {0, 1, 3}) {
+    SCOPED_TRACE(delay);
+    CollectorParams p = quiet_params();
+    p.transport.delay_cycles = delay;
+    p.transport.loss_rate = 0.1;
+    p.faults.agent_dropout_rate = 0.05;
+    p.faults.crash_rate = 0.02;
+    p.faults.crash_duration_cycles = 3;
+    p.faults.corruption_rate = 0.1;
+    Collector c(p, common::Rng(42));
+    c.set_candidate_set({0, 1, 2, 3, 4, 5, 6, 7});
+    auto nodes = make_nodes(8);
+    c.collect(nodes, Seconds{1.0}, 1);
+    const std::uint64_t before = g_allocations.load();
+    for (int t = 2; t <= 200; ++t) {
+      if (t % 7 == 0) {
+        c.skip_cycle(1);
+      } else {
+        c.collect(nodes, Seconds{static_cast<double>(t)}, 1);
+      }
+    }
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+    EXPECT_GT(c.samples_delivered(), 0u);
+  }
+}
+
+TEST(CollectorRing, PropertiesHoldUnderFaultsLossAndSkips) {
+  // A random mix of sweeps and skipped cycles over a lossy, delayed,
+  // faulty transport, with DVFS levels moving underneath. Every sweep is
+  // checked against a test-side model of what the transport may do.
+  const std::uint64_t seed = fault_seed(5);
+  for (const int delay : {1, 2, 3}) {
+    SCOPED_TRACE(delay);
+    CollectorParams p = quiet_params();
+    p.transport.delay_cycles = delay;
+    p.transport.loss_rate = 0.05;
+    p.faults.agent_dropout_rate = 0.02;
+    p.faults.agent_recovery_rate = 0.4;
+    p.faults.crash_rate = 0.01;
+    p.faults.crash_duration_cycles = 4;
+    p.faults.corruption_rate = 0.04;
+    Collector c(p, common::Rng(seed * 131 + static_cast<std::uint64_t>(delay)));
+    constexpr std::size_t kNodes = 5;
+    c.set_candidate_set({0, 1, 2, 3, 4});
+    auto nodes = make_nodes(kNodes);
+    const hw::Level top = nodes[0].spec().ladder.highest();
+    // Corrupted payloads are negative or >= 50x a real estimate; anything
+    // above twice the top-level estimate is one.
+    const double ceiling = 2.0 * nodes[0].estimated_power_at(top).value();
+    ASSERT_GT(50.0 * nodes[0].estimated_power_at(0).value(), ceiling);
+    const auto corrupted = [&](const NodeSample& s) {
+      return s.estimated_power.value() < 0.0 ||
+             s.estimated_power.value() > ceiling;
+    };
+
+    common::Rng script(seed ^ 0x9e3779b97f4a7c15ULL);
+    std::vector<std::uint64_t> newest(kNodes, 0);
+    std::vector<std::optional<hw::Level>> last_level(kNodes);
+    std::uint64_t taken = 0;
+    int quiet_sweeps = 0;
+    int noisy_sweeps = 0;
+    for (int step = 1; step <= 600; ++step) {
+      if (script.bernoulli(0.25)) {
+        c.skip_cycle(1);
+        EXPECT_FALSE(c.last_sweep_quiet());
+        continue;
+      }
+      if (script.bernoulli(0.1)) {
+        nodes[script.uniform_int(0, kNodes - 1)].set_level(
+            static_cast<hw::Level>(script.uniform_int(0, top)));
+      }
+      const std::uint64_t delivered_before = c.samples_delivered();
+      c.collect(nodes, Seconds{static_cast<double>(step)}, 1);
+      taken += kNodes;
+      const std::uint64_t now = c.cycle_count();
+
+      bool quiet = true;
+      std::uint64_t arrivals = 0;
+      for (std::size_t slot = 0; slot < kNodes; ++slot) {
+        const SampleHistoryView h = c.history_at_slot(slot);
+        // Histories hold deliveries in arrival order: arrival order must
+        // be sampling order.
+        for (std::size_t k = 1; k < h.size(); ++k) {
+          ASSERT_LT(h[k - 1].cycle, h[k].cycle) << "slot " << slot;
+        }
+        std::size_t first_new = h.size();
+        while (first_new > 0 && h[first_new - 1].cycle > newest[slot]) {
+          --first_new;
+        }
+        const std::size_t landed = h.size() - first_new;
+        for (std::size_t k = first_new; k < h.size(); ++k) {
+          EXPECT_LE(h[k].cycle + static_cast<std::uint64_t>(delay), now);
+        }
+        if (landed != 1 || !last_level[slot] ||
+            *last_level[slot] != h.back().level || corrupted(h.back())) {
+          quiet = false;
+        }
+        if (landed != 0) {
+          newest[slot] = h.back().cycle;
+          last_level[slot] = h.back().level;
+        }
+        arrivals += landed;
+        EXPECT_LE(c.reports_in_flight_at_slot(slot),
+                  static_cast<std::size_t>(delay));
+      }
+      EXPECT_EQ(c.samples_delivered() - delivered_before, arrivals);
+      EXPECT_EQ(c.last_sweep_quiet(), quiet) << "cycle " << now;
+      EXPECT_EQ(taken, c.samples_delivered() + c.samples_lost() +
+                           c.samples_suppressed() + c.reports_in_flight());
+      (quiet ? quiet_sweeps : noisy_sweeps) += 1;
+    }
+    // The mix really exercised every channel and both sweep outcomes.
+    EXPECT_GT(c.samples_lost(), 0u);
+    EXPECT_GT(c.samples_suppressed(), 0u);
+    EXPECT_GT(c.fault_injector().samples_corrupted(), 0u);
+    EXPECT_GT(quiet_sweeps, 0);
+    EXPECT_GT(noisy_sweeps, 0);
+  }
+}
+
+TEST(CollectorRing, QueuedReportsFollowTheirNodeAcrossChurn) {
+  CollectorParams p = quiet_params();
+  p.transport.delay_cycles = 2;
+  Collector c(p, common::Rng(43));
+  c.set_candidate_set({0, 1, 2});
+  auto nodes = make_nodes(4);
+  c.collect(nodes, Seconds{1.0}, 1);  // cycle 1: one report per node queued
+  EXPECT_EQ(c.reports_in_flight(), 3u);
+
+  // Node 1 leaves (its report is dropped with it); node 2 moves from slot 2
+  // to slot 1 and node 3 arrives empty.
+  c.set_candidate_set({0, 2, 3});
+  EXPECT_EQ(c.reports_in_flight(), 2u);
+  EXPECT_EQ(c.reports_in_flight_at_slot(slot_in(c, 2)), 1u);
+  EXPECT_EQ(c.reports_in_flight_at_slot(slot_in(c, 3)), 0u);
+
+  // Node 1 comes straight back: it starts with an empty queue.
+  c.set_candidate_set({0, 1, 2, 3});
+  EXPECT_EQ(c.reports_in_flight_at_slot(slot_in(c, 1)), 0u);
+
+  c.collect(nodes, Seconds{2.0}, 1);  // cycle 2: nothing due yet
+  c.collect(nodes, Seconds{3.0}, 1);  // cycle 3: the cycle-1 reports land
+  EXPECT_EQ(c.latest(0)->cycle, 1u);
+  EXPECT_EQ(c.latest(2)->cycle, 1u);
+  EXPECT_FALSE(c.latest(1).has_value());  // its cycle-1 report is gone
+  EXPECT_FALSE(c.latest(3).has_value());
+  c.collect(nodes, Seconds{4.0}, 1);
+  EXPECT_EQ(c.latest(1)->cycle, 2u);
+  EXPECT_EQ(c.latest(3)->cycle, 2u);
+}
+
+TEST(CollectorRing, RestoreDiscardsQueuedReportsAsLost) {
+  // Reports in flight at a warm restart were addressed to the previous
+  // manager: restore_cycle_count drops them and counts them lost, so the
+  // ring bound holds whichever way the clock jumps.
+  for (const std::uint64_t resume : {std::uint64_t{100}, std::uint64_t{0}}) {
+    SCOPED_TRACE(resume);
+    CollectorParams p = quiet_params();
+    p.transport.delay_cycles = 2;
+    Collector c(p, common::Rng(44));
+    c.set_candidate_set({0, 1});
+    auto nodes = make_nodes(2);
+    c.collect(nodes, Seconds{1.0}, 1);
+    c.collect(nodes, Seconds{2.0}, 1);
+    ASSERT_EQ(c.reports_in_flight(), 4u);
+
+    c.restore_cycle_count(resume);
+    EXPECT_EQ(c.cycle_count(), resume);
+    EXPECT_EQ(c.reports_in_flight(), 0u);
+    EXPECT_EQ(c.samples_lost(), 4u);
+    EXPECT_EQ(c.samples_delivered(), 0u);
+
+    for (int t = 3; t <= 5; ++t) {
+      c.collect(nodes, Seconds{static_cast<double>(t)}, 1);
+    }
+    // Only post-restart reports ever land, on the resumed clock.
+    EXPECT_EQ(c.latest(0)->cycle, resume + 1);
+    EXPECT_EQ(c.samples_delivered(), 2u);
+    EXPECT_EQ(c.reports_in_flight(), 4u);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+
+#include "common/thread_pool.hpp"
 
 #include "hw/node_spec.hpp"
 #include "telemetry/collector.hpp"
@@ -17,6 +20,15 @@ std::uint64_t fault_seed(std::uint64_t fallback) {
   const char* env = std::getenv("PCAP_FAULT_SEED");
   if (env == nullptr || *env == '\0') return fallback;
   return std::strtoull(env, nullptr, 10);
+}
+
+/// One apply() with its tally folded straight back, as a sweep chunk of
+/// one node would.
+FaultInjector::Outcome apply(FaultInjector& inj, NodeSample& s) {
+  FaultInjector::Tally tally;
+  const FaultInjector::Outcome out = inj.apply(s, tally);
+  inj.fold(tally);
+  return out;
 }
 
 NodeSample make_sample(hw::NodeId id, double watts = 300.0) {
@@ -61,7 +73,7 @@ TEST(FaultParams, BadRatesThrow) {
 TEST(FaultInjector, UnregisteredNodePassesThrough) {
   FaultInjector inj(FaultParams{}, common::Rng(1));
   NodeSample s = make_sample(5);
-  const auto out = inj.apply(s);
+  const auto out = apply(inj, s);
   EXPECT_FALSE(out.suppressed);
   EXPECT_FALSE(out.corrupted);
   EXPECT_EQ(s.estimated_power, Watts{300.0});
@@ -75,7 +87,7 @@ TEST(FaultInjector, PermanentDropoutSilencesAgent) {
   inj.ensure_nodes({0});
   for (int c = 0; c < 5; ++c) {
     NodeSample s = make_sample(0);
-    EXPECT_TRUE(inj.apply(s).suppressed);
+    EXPECT_TRUE(apply(inj, s).suppressed);
   }
   EXPECT_EQ(inj.agent_dropouts(), 1u);  // one dropout event, many lost samples
   EXPECT_EQ(inj.samples_suppressed(), 5u);
@@ -91,18 +103,18 @@ TEST(FaultInjector, CrashWindowRunsItsCourseThenRecovers) {
   inj.ensure_nodes({0});
 
   NodeSample s = make_sample(0);
-  auto out = inj.apply(s);  // cycle 1: crash starts
+  auto out = apply(inj, s);  // cycle 1: crash starts
   EXPECT_TRUE(out.crash_started);
   EXPECT_TRUE(out.suppressed);
   EXPECT_TRUE(inj.is_silent(0));
 
-  out = inj.apply(s);  // cycle 2: window counts down
+  out = apply(inj, s);  // cycle 2: window counts down
   EXPECT_TRUE(out.suppressed);
   EXPECT_FALSE(out.crash_started);
-  out = inj.apply(s);  // cycle 3
+  out = apply(inj, s);  // cycle 3
   EXPECT_TRUE(out.suppressed);
 
-  out = inj.apply(s);  // cycle 4: window expires, node rejoins
+  out = apply(inj, s);  // cycle 4: window expires, node rejoins
   EXPECT_TRUE(out.recovered);
   EXPECT_FALSE(out.suppressed);
   EXPECT_EQ(inj.crash_events(), 1u);
@@ -116,7 +128,7 @@ TEST(FaultInjector, CorruptionIsAlwaysImplausible) {
   inj.ensure_nodes({0});
   for (int c = 0; c < 50; ++c) {
     NodeSample s = make_sample(0, 300.0);
-    const auto out = inj.apply(s);
+    const auto out = apply(inj, s);
     EXPECT_TRUE(out.corrupted);
     EXPECT_FALSE(out.suppressed);
     const double w = s.estimated_power.value();
@@ -146,11 +158,11 @@ TEST(FaultInjector, PerNodeStreamsAreRegistrationOrderIndependent) {
     // (seed, node id, per-node cycle index).
     for (const hw::NodeId id : {0u, 1u, 2u, 3u}) {
       NodeSample s = make_sample(id);
-      a.apply(s);
+      apply(a, s);
     }
     for (const hw::NodeId id : {3u, 1u, 0u, 2u}) {
       NodeSample s = make_sample(id);
-      b.apply(s);
+      apply(b, s);
     }
   }
   EXPECT_EQ(a.samples_suppressed(), b.samples_suppressed());
@@ -168,7 +180,7 @@ TEST(FaultInjector, StatePersistsAcrossCandidateChurn) {
   FaultInjector inj(p, common::Rng(8));
   inj.ensure_nodes({0});
   NodeSample s = make_sample(0);
-  inj.apply(s);  // crash starts
+  apply(inj, s);  // crash starts
   EXPECT_TRUE(inj.is_silent(0));
   // The node leaves and re-enters the candidate set mid-window: it is
   // still the same crashed machine.
@@ -264,6 +276,49 @@ TEST(CollectorFaults, FaultStreamsDoNotPerturbTransportDraws) {
   EXPECT_EQ(corrupted.samples_delivered(), reference.samples_delivered());
   EXPECT_GT(corrupted.fault_injector().samples_corrupted(), 0u);
   EXPECT_EQ(corrupted.samples_suppressed(), 0u);
+}
+
+TEST(CollectorFaults, SilentCountMatchesARecountEveryCycle) {
+  // silent_count() is maintained at the four silence transitions (crash
+  // start, crash expiry, dropout, agent recovery) and folded per sweep
+  // chunk; a pooled sweep folds several chunks concurrently. Candidate
+  // churn leaves departed nodes' fault state (and silence) registered.
+  CollectorParams p;
+  p.agent.utilization_noise = 0.0;
+  p.agent.nic_noise = 0.0;
+  p.transport.delay_cycles = 1;
+  p.faults.agent_dropout_rate = 0.05;
+  p.faults.agent_recovery_rate = 0.3;
+  p.faults.crash_rate = 0.02;
+  p.faults.crash_duration_cycles = 5;
+  p.faults.corruption_rate = 0.05;
+  p.parallel_threshold = 16;
+  p.parallel_grain = 8;
+  common::ThreadPool pool(2);
+  constexpr std::size_t kNodes = 64;
+  Collector c(p, common::Rng(fault_seed(14)));
+  c.set_thread_pool(&pool);
+  std::vector<hw::NodeId> all(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) all[i] = static_cast<hw::NodeId>(i);
+  std::vector<hw::NodeId> half(all.begin(), all.begin() + kNodes / 2);
+  c.set_candidate_set(all);
+  auto nodes = make_nodes(kNodes);
+  std::size_t peak = 0;
+  for (int t = 1; t <= 300; ++t) {
+    if (t == 100) c.set_candidate_set(half);
+    if (t == 200) c.set_candidate_set(all);
+    c.collect(nodes, Seconds{static_cast<double>(t)}, 1);
+    std::size_t recount = 0;
+    for (const hw::NodeId id : all) {
+      if (c.fault_injector().is_silent(id)) ++recount;
+    }
+    ASSERT_EQ(c.fault_injector().silent_count(), recount) << "cycle " << t;
+    peak = std::max(peak, recount);
+  }
+  EXPECT_GT(peak, 0u);
+  EXPECT_GT(c.fault_injector().crash_events(), 0u);
+  EXPECT_GT(c.fault_injector().recovery_events(), 0u);
+  EXPECT_GT(c.fault_injector().agent_dropouts(), 0u);
 }
 
 }  // namespace
