@@ -22,9 +22,9 @@
 // until the shed power brings the reading back under P_L and the acks
 // drain. The meter is responsive (true population draw + an external
 // offset, computed outside the timed region) so shedding actually ends
-// the episode. Measured twice — incremental context plane on and off —
-// over the identical cycle sequence; both modes must take the same
-// number of cycles (bit-identical decisions) or the run warns.
+// the episode. Measured serial and parallel over the identical cycle
+// sequence; both must take the same number of cycles (bit-identical
+// decisions) or the run warns.
 //
 // Usage: bench_control_cycle [--json] [--zones=Z] [--drain] [node_count...]
 //   default node counts: 1024 8192 32768 131072 1048576; default Z = 8
@@ -310,8 +310,7 @@ struct DrainResult {
   double secs = 0.0;    ///< wall time inside cycle() over the timed drain
 };
 
-DrainResult run_drain_case(std::size_t n, bool parallel, std::size_t zones,
-                           bool incremental) {
+DrainResult run_drain_case(std::size_t n, bool parallel, std::size_t zones) {
   std::unique_ptr<common::ThreadPool> pool;
   if (parallel) pool = std::make_unique<common::ThreadPool>(0);
 
@@ -336,10 +335,9 @@ DrainResult run_drain_case(std::size_t n, bool parallel, std::size_t zones,
   power::ZoneTreeParams zp;
   zp.zone_count = zones;
   zp.redistribution = power::ZoneTreeParams::Redistribution::kProportional;
-  power::CappingManagerParams params = manager_params(provision);
-  params.incremental_context = incremental;
   power::ZoneTreeManager mgr(
-      zp, params, [] { return power::make_policy("mpc-c"); }, common::Rng(42));
+      zp, manager_params(provision),
+      [] { return power::make_policy("mpc-c"); }, common::Rng(42));
   mgr.set_thread_pool(pool.get());
   mgr.set_candidate_set(all_ids);
 
@@ -381,9 +379,9 @@ DrainResult run_drain_case(std::size_t n, bool parallel, std::size_t zones,
   };
 
   DrainResult out;
-  // Warmup episode, untimed: leaves every shard's persistent context
+  // Warmup episode, untimed: leaves every shard's persistent buffers
   // warm — the production steady state — so the timed episode measures
-  // drain cost, not the one-off first-build cost both modes share.
+  // drain cost, not the one-off first-build allocation.
   out.warm_cycles = episode(nullptr);
   out.cycles = episode(&out.secs);
   if (out.cycles >= 2048) {
@@ -403,44 +401,29 @@ int run_drain(bool json, std::size_t zones,
     std::printf("drain: ZoneTreeManager, Z=%zu, demand step to 0.845x "
                 "provision, warm contexts\n",
                 zones);
-    std::printf("%8s  %6s  %11s  %11s  %8s  %12s  %12s  %9s\n", "nodes",
-                "cycles", "inc ms", "rebuild ms", "speedup", "inc-par ms",
-                "rebu-par ms", "speedup");
+    std::printf("%8s  %6s  %11s  %11s\n", "nodes", "cycles", "serial ms",
+                "parallel ms");
   }
   for (const std::size_t n : node_counts) {
-    const DrainResult inc_s = run_drain_case(n, false, zones, true);
-    const DrainResult reb_s = run_drain_case(n, false, zones, false);
-    const DrainResult inc_p = run_drain_case(n, true, zones, true);
-    const DrainResult reb_p = run_drain_case(n, true, zones, false);
-    if (inc_s.cycles != reb_s.cycles || inc_p.cycles != reb_p.cycles) {
+    const DrainResult serial = run_drain_case(n, false, zones);
+    const DrainResult parallel = run_drain_case(n, true, zones);
+    if (serial.cycles != parallel.cycles) {
       std::fprintf(stderr,
-                   "warning: %zu-node drain lengths differ between modes "
-                   "(serial %d vs %d, parallel %d vs %d) — decisions are "
-                   "supposed to be bit-identical\n",
-                   n, inc_s.cycles, reb_s.cycles, inc_p.cycles, reb_p.cycles);
+                   "warning: %zu-node drain lengths differ between serial "
+                   "(%d) and parallel (%d) — decisions are supposed to be "
+                   "bit-identical\n",
+                   n, serial.cycles, parallel.cycles);
     }
-    const double serial_speedup =
-        inc_s.secs > 0.0 ? reb_s.secs / inc_s.secs : 0.0;
-    const double parallel_speedup =
-        inc_p.secs > 0.0 ? reb_p.secs / inc_p.secs : 0.0;
     if (json) {
       std::printf(
           "%s\n  {\"nodes\": %zu, \"zones\": %zu, \"drain_cycles\": %d, "
-          "\"drain_serial_incremental_ms\": %.3f, "
-          "\"drain_serial_rebuild_ms\": %.3f, "
-          "\"drain_serial_speedup\": %.2f, "
-          "\"drain_parallel_incremental_ms\": %.3f, "
-          "\"drain_parallel_rebuild_ms\": %.3f, "
-          "\"drain_parallel_speedup\": %.2f}",
-          first ? "" : ",", n, zones, inc_s.cycles, inc_s.secs * 1e3,
-          reb_s.secs * 1e3, serial_speedup, inc_p.secs * 1e3, reb_p.secs * 1e3,
-          parallel_speedup);
+          "\"drain_serial_ms\": %.3f, \"drain_parallel_ms\": %.3f}",
+          first ? "" : ",", n, zones, serial.cycles, serial.secs * 1e3,
+          parallel.secs * 1e3);
       first = false;
     } else {
-      std::printf("%8zu  %6d  %11.3f  %11.3f  %8.2f  %12.3f  %12.3f  %9.2f\n",
-                  n, inc_s.cycles, inc_s.secs * 1e3, reb_s.secs * 1e3,
-                  serial_speedup, inc_p.secs * 1e3, reb_p.secs * 1e3,
-                  parallel_speedup);
+      std::printf("%8zu  %6d  %11.3f  %11.3f\n", n, serial.cycles,
+                  serial.secs * 1e3, parallel.secs * 1e3);
     }
     std::fflush(stdout);
   }

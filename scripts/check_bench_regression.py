@@ -8,11 +8,8 @@ numbers are noisy on shared runners), and compares against the
 (BENCH_control_cycle.json, BENCH_tick.json). Any metric falling more than
 the tolerance below its recorded value fails the job.
 
-Usage: check_bench_regression.py <bench-binary> [reference-json] [block]
+Usage: check_bench_regression.py <bench-binary> [reference-json]
 
-`block` picks the reference block inside the JSON (default `ci_reference`);
-e.g. `ci_reference_drain` gates the `--drain` episode speedups. A block may
-carry an `args` list (extra bench flags inserted before the size argument).
 All gated metrics are higher-is-better: record rates/speedups, never
 milliseconds.
 
@@ -93,14 +90,11 @@ def main() -> int:
     ref_path = pathlib.Path(
         sys.argv[2] if len(sys.argv) > 2 else "BENCH_control_cycle.json")
 
-    block = sys.argv[3] if len(sys.argv) > 3 else "ci_reference"
-
-    reference = json.loads(ref_path.read_text())[block]
+    reference = json.loads(ref_path.read_text())["ci_reference"]
     size = reference["nodes"]
     metrics = reference["metrics"]
-    extra_args = tuple(reference.get("args", ()))
 
-    measured = best_of(bench, size, RUNS, extra_args=extra_args)
+    measured = best_of(bench, size, RUNS)
 
     failed = False
     for key, ref_value in metrics.items():

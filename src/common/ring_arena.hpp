@@ -10,10 +10,10 @@ namespace pcap::common {
 
 /// `slots` FIFO rings of `depth` entries each, laid out slot-major in one
 /// arena (ring s owns entries [s * depth, (s + 1) * depth)), with a head
-/// and a count per slot. Unlike RingBuffer it never evicts: a push into a
-/// full ring throws std::logic_error and leaves the ring untouched, so a
-/// caller that sized `depth` as an exact bound finds out the moment the
-/// bound is wrong instead of silently losing an entry. Depth 0 allocates
+/// and a count per slot. It never evicts: a push into a full ring throws
+/// std::logic_error and leaves the ring untouched, so a caller that sized
+/// `depth` as an exact bound finds out the moment the bound is wrong
+/// instead of silently losing an entry. Depth 0 allocates
 /// nothing; every ring then reads as empty and must not be pushed to.
 ///
 /// Distinct slots share no state, so concurrent operations on different

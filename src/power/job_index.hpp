@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "hw/node.hpp"
@@ -57,13 +56,6 @@ class JobIndex {
   /// Events consumed so far (diagnostics / tests).
   [[nodiscard]] std::size_t event_cursor() const { return event_cursor_; }
 
-  /// Monotonic stamp bumped whenever entries() could have changed shape —
-  /// any replayed start/finish or candidate refilter. The incremental
-  /// context plane compares epochs across builds: equal epochs mean the
-  /// job list (ids, order, candidate_nodes) is byte-for-byte the one the
-  /// previous context was assembled from.
-  [[nodiscard]] std::uint64_t change_epoch() const { return change_epoch_; }
-
  private:
   void refilter(Entry& entry) const;
   [[nodiscard]] bool is_candidate(hw::NodeId id) const {
@@ -76,7 +68,6 @@ class JobIndex {
   std::size_t event_cursor_ = 0;
   std::vector<unsigned char> is_candidate_;  ///< node id -> membership
   bool filter_dirty_ = false;
-  std::uint64_t change_epoch_ = 0;
 };
 
 }  // namespace pcap::power

@@ -66,11 +66,6 @@ CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
                                     : params_.thresholds.adjust_period_cycles;
     scorer_.reset(params_.prediction.horizon_cycles);
   }
-  // The incremental context plane needs the collector's per-slot change
-  // cursors; whether a pure temperature drift counts as a change depends
-  // on whether this manager's policy will ever read it.
-  collector_.configure_dedup(params_.incremental_context,
-                             policy_->temperature_sensitive());
   if (params_.selector) selector_.emplace(*params_.selector);
 }
 
@@ -85,9 +80,7 @@ void CappingManager::set_candidate_set(const std::vector<hw::NodeId>& ids) {
   // index so both agree on membership. The refilter itself is deferred to
   // the next context build.
   job_index_.set_candidate_set(collector_.candidate_set());
-  // Slot layout and context positions are stale now: the next context
-  // build must be a full one, and no skip may stand in for it.
-  inc_valid_ = false;
+  // The slot layout changed: no skip may stand in for the next build.
   quiet_since_build_ = false;
   if (owns_watchdog_groups_ && watchdog_ != nullptr) {
     watchdog_->set_groups({collector_.candidate_set()});
@@ -348,16 +341,6 @@ void CappingManager::build_context_with(
         "CappingManager::build_context: candidate id out of range");
   }
 
-  // Delta dispatch: only the persistent reconciled context carries valid
-  // incremental state — benchmark builds into caller-owned contexts (and
-  // read-only builds with rec == nullptr) always assemble from scratch.
-  if (params_.incremental_context && rec != nullptr && &ctx == &scratch_ctx_ &&
-      inc_valid_ && view_records_.size() == candidates.size()) {
-    build_context_delta(ctx, measured, nodes, scheduler, rec, work, now_cycle,
-                        max_age);
-    return;
-  }
-
   ctx.system_power = measured;
   ctx.p_low = learner_.p_low();
 
@@ -380,25 +363,14 @@ void CappingManager::build_context_with(
         }
       });
 
-  const bool inc_track =
-      params_.incremental_context && rec != nullptr && &ctx == &scratch_ctx_;
-  if (rec != nullptr && &ctx == &scratch_ctx_) ++inc_stats_.full_builds;
-
-  merge_records_full(ctx, nodes, rec, work, now_cycle, inc_track);
+  merge_records(ctx, nodes, rec, work, now_cycle);
 
   // Phase 2 — job views from the persistent index. entries() mirrors
   // scheduler.running_jobs() in order, and each entry's candidate_nodes
   // keeps Nodes(J) order, so every per-job power sum adds the same values
   // in the same order the full rebuild did.
   job_index_.sync(scheduler);
-  job_pass_full(ctx, inc_track);
-
-  if (inc_track) {
-    rebuild_job_csr();
-    inc_build_cycle_ = now_cycle;
-    inc_job_epoch_ = job_index_.change_epoch();
-    inc_valid_ = true;
-  }
+  job_pass(ctx);
 }
 
 void CappingManager::fill_view_record(std::size_t slot,
@@ -446,17 +418,7 @@ void CappingManager::fill_view_record(std::size_t slot,
   nv.busy = latest.busy;
   nv.power = latest.estimated_power;
   nv.temperature = latest.temperature;
-  // Freshness base: the chosen sample's stamp — or, when the newest
-  // delivery has since been confirmed unchanged by the collector's dedup
-  // (which freezes the history), the confirmation cycle. A suppressed
-  // sweep attests the live counters still reproduce this entry bit for
-  // bit, which is exactly what a fresh delivery would have proven.
-  std::uint64_t fresh_cycle = latest.cycle;
-  if (chosen + 1 == hist.size()) {
-    const std::uint64_t confirmed = collector_.confirm_cycle(slot);
-    if (confirmed > fresh_cycle) fresh_cycle = confirmed;
-  }
-  nv.stale = now_cycle - fresh_cycle > max_age;
+  nv.stale = now_cycle - latest.cycle > max_age;
   if (unresponsive && nv.stale) {
     // Abandoned AND blind: the node stays out of the context entirely —
     // not selectable, not in A_degraded, not worth a command — until a
@@ -494,43 +456,30 @@ void CappingManager::fill_view_record(std::size_t slot,
   vr.status = ViewRecord::Status::kOk;
 }
 
-void CappingManager::merge_records_full(PolicyContext& ctx,
-                                        const std::vector<hw::Node>& nodes,
-                                        ActuationReconciler* rec,
-                                        ActuationReconciler::CycleWork* work,
-                                        std::uint64_t now_cycle,
-                                        bool inc_track) const {
+void CappingManager::merge_records(PolicyContext& ctx,
+                                   const std::vector<hw::Node>& nodes,
+                                   ActuationReconciler* rec,
+                                   ActuationReconciler::CycleWork* work,
+                                   std::uint64_t now_cycle) const {
   // Serial merge, in candidate order — exactly the order the pre-shard
   // loop visited nodes, so reconciler mutations, heal emission, counters
   // and the context layout are all bit-identical to it. clear() keeps the
   // capacity, so after the first cycle this fills existing storage.
-  //
-  // Also correct as the delta path's fallback over persisted records:
-  // re-observing a clean slot's (unchanged) sample cycle is a reconciler
-  // no-op by its staleness guard, and persisted records never carry the
-  // in-flight inflation (it is applied to the copy `nv`, below).
   ctx.stale_nodes = 0;
   ctx.missing_nodes = 0;
   ctx.fallback_nodes = 0;
   ctx.rejected_samples = 0;
   ctx.unresponsive_nodes = 0;
-  if (inc_track) {
-    inc_pos_.assign(view_records_.size(), kNoPos);
-    inc_degraded_.assign(view_records_.size(), 0);
-  }
   ctx.nodes.clear();
-  for (std::size_t slot = 0; slot < view_records_.size(); ++slot) {
-    ViewRecord& vr = view_records_[slot];
+  for (const ViewRecord& vr : view_records_) {
     ctx.rejected_samples += vr.rejected;
     if (vr.status == ViewRecord::Status::kMissing) {
       ++ctx.missing_nodes;
-      if (inc_track) inc_degraded_[slot] = 1;
       continue;
     }
     if (vr.status == ViewRecord::Status::kMissingUnresponsive ||
         vr.status == ViewRecord::Status::kExcludedUnresponsive) {
       ++ctx.unresponsive_nodes;
-      if (inc_track) inc_degraded_[slot] = 1;
       continue;
     }
     NodeView nv = vr.view;
@@ -577,16 +526,6 @@ void CappingManager::merge_records_full(PolicyContext& ctx,
         }
       }
     }
-    if (inc_track) {
-      inc_pos_[slot] = static_cast<std::uint32_t>(ctx.nodes.size());
-      // A record whose view depends on clock or actuation state (not just
-      // delivered sample content) must be re-derived every cycle even
-      // without a telemetry change.
-      inc_degraded_[slot] = (vr.rejected > 0 || nv.stale || vr.substituted ||
-                             nv.command_in_flight)
-                                ? 1
-                                : 0;
-    }
     ctx.nodes.push_back(nv);
   }
   ctx.index_nodes();
@@ -625,7 +564,7 @@ void CappingManager::fill_job_view(const JobIndex::Entry& e,
   if (!have_all_prev) jv.power_prev = Watts{0.0};  // no rate
 }
 
-void CappingManager::job_pass_full(PolicyContext& ctx, bool inc_track) const {
+void CappingManager::job_pass(PolicyContext& ctx) const {
   // Each stage slot is written by one worker and reads only the frozen
   // context, so this pass shards.
   const std::vector<JobIndex::Entry>& entries = job_index_.entries();
@@ -638,14 +577,12 @@ void CappingManager::job_pass_full(PolicyContext& ctx, bool inc_track) const {
           fill_job_view(entries[k], ctx, job_stage_[k]);
         }
       });
-  if (inc_track) inc_job_pos_.assign(entries.size(), kNoPos);
   // Serial compaction: jobs with no usable node this cycle drop out,
   // order is preserved, and swap keeps both sides' vector capacity.
   std::size_t used = 0;
   for (std::size_t k = 0; k < job_stage_.size(); ++k) {
     JobView& staged = job_stage_[k];
     if (staged.nodes.empty()) continue;
-    if (inc_track) inc_job_pos_[k] = static_cast<std::uint32_t>(used);
     if (used == ctx.jobs.size()) ctx.jobs.emplace_back();
     std::swap(ctx.jobs[used], staged);
     ++used;
@@ -655,240 +592,10 @@ void CappingManager::job_pass_full(PolicyContext& ctx, bool inc_track) const {
   ctx.jobs_have_throttleable = true;
 }
 
-void CappingManager::rebuild_job_csr() const {
-  // Node id -> list of job-entry indices (ascending, since entries are
-  // scanned in order): maps a dirty slot to exactly the JobViews its view
-  // feeds.
-  const std::vector<JobIndex::Entry>& entries = job_index_.entries();
-  const std::size_t width =
-      collector_.candidate_set().empty()
-          ? 0
-          : static_cast<std::size_t>(collector_.max_candidate_id()) + 1;
-  inc_csr_off_.assign(width + 1, 0);
-  std::size_t total = 0;
-  for (const JobIndex::Entry& e : entries) {
-    total += e.candidate_nodes.size();
-    for (const hw::NodeId nid : e.candidate_nodes) ++inc_csr_off_[nid + 1];
-  }
-  inc_csr_.resize(total);
-  for (std::size_t i = 1; i <= width; ++i) inc_csr_off_[i] += inc_csr_off_[i - 1];
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    for (const hw::NodeId nid : entries[k].candidate_nodes) {
-      inc_csr_[inc_csr_off_[nid]++] = static_cast<std::uint32_t>(k);
-    }
-  }
-  // The cursor fill shifted every offset to its range end; rotate back so
-  // [off[id], off[id+1]) is node id's range again.
-  for (std::size_t i = width; i > 0; --i) inc_csr_off_[i] = inc_csr_off_[i - 1];
-  if (width > 0) inc_csr_off_[0] = 0;
-}
-
-void CappingManager::build_context_delta(
-    PolicyContext& ctx, Watts measured, const std::vector<hw::Node>& nodes,
-    const sched::Scheduler& scheduler, ActuationReconciler* rec,
-    ActuationReconciler::CycleWork* work, std::uint64_t now_cycle,
-    std::uint64_t max_age) const {
-  ctx.system_power = measured;
-  ctx.p_low = learner_.p_low();
-
-  const std::vector<hw::NodeId>& candidates = collector_.candidate_set();
-
-  job_index_.sync(scheduler);
-  const bool jobs_churned = job_index_.change_epoch() != inc_job_epoch_;
-
-  // Dirty scan: a slot must be re-derived when its telemetry content
-  // changed since the last build, when its last delivery is not this
-  // cycle's confirmation (lost/delayed samples age the view), when its
-  // previous record depended on clock or actuation state, or when the
-  // actuation plane is mid-flight on it (pending command, abandoned, or
-  // awaiting watchdog adoption — those paths mutate reconciler state in
-  // the merge and must keep doing so every cycle).
-  inc_dirty_.clear();
-  inc_old_present_.clear();
-  for (std::size_t slot = 0; slot < candidates.size(); ++slot) {
-    bool dirty = inc_degraded_[slot] != 0 ||
-                 collector_.change_cycle(slot) > inc_build_cycle_ ||
-                 collector_.confirm_cycle(slot) != now_cycle;
-    if (!dirty) {
-      const hw::NodeId id = candidates[slot];
-      dirty = rec->in_flight(id) || rec->unresponsive(id) ||
-              (watchdog_ != nullptr && watchdog_->adoption_pending(id));
-    }
-    if (dirty) inc_dirty_.push_back(static_cast<std::uint32_t>(slot));
-  }
-  ++inc_stats_.delta_builds;
-  inc_stats_.dirty_slots += inc_dirty_.size();
-
-  if (inc_dirty_.empty() && !jobs_churned) {
-    ++inc_stats_.noop_builds;
-    // Quiescent: the persisted context IS this cycle's context. This is
-    // the empty-dirty-set special case the zone tree's quiescence hints
-    // approximate from outside.
-    inc_build_cycle_ = now_cycle;
-    return;
-  }
-
-  // Retract the dirty slots' old tally contributions (integer running
-  // totals) and remember their old presence; the refill below overwrites
-  // the records in place.
-  for (const std::uint32_t slot : inc_dirty_) {
-    const ViewRecord& vr = view_records_[slot];
-    ctx.rejected_samples -= vr.rejected;
-    switch (vr.status) {
-      case ViewRecord::Status::kMissing:
-        --ctx.missing_nodes;
-        break;
-      case ViewRecord::Status::kMissingUnresponsive:
-      case ViewRecord::Status::kExcludedUnresponsive:
-        --ctx.unresponsive_nodes;
-        break;
-      case ViewRecord::Status::kOk:
-        if (vr.view.stale) {
-          --ctx.stale_nodes;
-          --ctx.fallback_nodes;
-        } else if (vr.substituted) {
-          --ctx.fallback_nodes;
-        }
-        break;
-    }
-    inc_old_present_.push_back(vr.status == ViewRecord::Status::kOk ? 1 : 0);
-  }
-
-  // Parallel refill of exactly the dirty slots — the same strictly
-  // per-node derivation as the full sharded pass, so chunk boundaries
-  // cannot change the records.
-  common::maybe_parallel_for(
-      pool_, inc_dirty_.size(), params_.collector.parallel_threshold,
-      params_.collector.parallel_grain,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          fill_view_record(inc_dirty_[i], candidates, nodes, rec, now_cycle,
-                           max_age);
-        }
-      });
-
-  bool flipped = false;
-  for (std::size_t i = 0; i < inc_dirty_.size() && !flipped; ++i) {
-    const bool present =
-        view_records_[inc_dirty_[i]].status == ViewRecord::Status::kOk;
-    flipped = present != (inc_old_present_[i] != 0);
-  }
-
-  if (flipped) {
-    // A slot entered or left the context, so every position after it
-    // shifts: fall back to the full serial merge + job pass over the
-    // persisted records (clean slots keep theirs untouched).
-    merge_records_full(ctx, nodes, rec, work, now_cycle, true);
-    if (jobs_churned) rebuild_job_csr();
-    job_pass_full(ctx, true);
-    inc_build_cycle_ = now_cycle;
-    inc_job_epoch_ = job_index_.change_epoch();
-    return;
-  }
-
-  // In-place serial merge of the dirty slots, ascending — the same
-  // relative order the full merge visits them, so reconciler mutations
-  // and heal emission stay bit-identical to it (clean slots in between
-  // would all have been no-ops).
-  for (const std::uint32_t slot : inc_dirty_) {
-    ViewRecord& vr = view_records_[slot];
-    ctx.rejected_samples += vr.rejected;
-    if (vr.status != ViewRecord::Status::kOk) {
-      if (vr.status == ViewRecord::Status::kMissing) {
-        ++ctx.missing_nodes;
-      } else {
-        ++ctx.unresponsive_nodes;
-      }
-      inc_degraded_[slot] = 1;
-      continue;
-    }
-    NodeView nv = vr.view;
-    if (!nv.stale) {
-      if (watchdog_ != nullptr && watchdog_->adoption_pending(nv.id)) {
-        if (nv.level == nodes[nv.id].level()) {
-          rec->adopt_reality(nv.id, nv.level, vr.sample_cycle, *work);
-          watchdog_->resolve_adoption(nv.id);
-        }
-      } else {
-        rec->observe_node(nv.id, nv.level, vr.sample_cycle, now_cycle, *work);
-      }
-    }
-    if (nv.stale) {
-      ++ctx.stale_nodes;
-      ++ctx.fallback_nodes;
-    } else if (vr.substituted) {
-      ++ctx.fallback_nodes;
-    }
-    if (const std::optional<hw::Level> target = rec->pending_target(nv.id)) {
-      nv.command_in_flight = true;
-      if (*target > nv.level) {
-        const Watts assumed = nodes[nv.id].estimated_power_at(*target);
-        if (assumed > nv.power) nv.power = assumed;
-      }
-    }
-    inc_degraded_[slot] = (vr.rejected > 0 || nv.stale || vr.substituted ||
-                           nv.command_in_flight)
-                              ? 1
-                              : 0;
-    ctx.nodes[inc_pos_[slot]] = nv;
-  }
-
-  if (jobs_churned) {
-    // Job start/finish or candidate refilter: entry list shape changed,
-    // recompute every JobView and the node -> entry map.
-    rebuild_job_csr();
-    job_pass_full(ctx, true);
-    inc_build_cycle_ = now_cycle;
-    inc_job_epoch_ = job_index_.change_epoch();
-    return;
-  }
-
-  // Same job list as last build: refresh only the JobViews that contain a
-  // dirty slot, via the CSR. Ascending entry order keeps the recompute
-  // deterministic; the arithmetic is the staged pass's, so values are
-  // bit-identical to a full job pass.
-  const std::vector<JobIndex::Entry>& entries = job_index_.entries();
-  inc_job_dirty_.assign(entries.size(), 0);
-  for (const std::uint32_t slot : inc_dirty_) {
-    const hw::NodeId id = candidates[slot];
-    for (std::uint32_t c = inc_csr_off_[id]; c < inc_csr_off_[id + 1]; ++c) {
-      inc_job_dirty_[inc_csr_[c]] = 1;
-    }
-  }
-  bool job_flip = false;
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    if (inc_job_dirty_[k] == 0) continue;
-    fill_job_view(entries[k], ctx, inc_job_scratch_);
-    const bool now_empty = inc_job_scratch_.nodes.empty();
-    if (now_empty != (inc_job_pos_[k] == kNoPos)) {
-      // A job gained its first usable view or lost its last one: the
-      // compacted ctx.jobs positions shift. CSR stays valid (no churn).
-      job_flip = true;
-      break;
-    }
-    if (!now_empty) std::swap(ctx.jobs[inc_job_pos_[k]], inc_job_scratch_);
-  }
-  if (job_flip) job_pass_full(ctx, true);
-
-  inc_build_cycle_ = now_cycle;
-}
-
 void CappingManager::collect_phase(bool collect_now,
                                    const std::vector<hw::Node>& nodes,
                                    Seconds now, std::size_t monitored_jobs) {
   if (collect_now) {
-    if (collector_.dedup_active()) {
-      // Slots the actuation plane is waiting on (pending acks, abandoned
-      // nodes, failsafe adoptions) consume the sample stream itself:
-      // exempt them from dedup suppression so every such cycle still
-      // delivers a real sample.
-      watch_scratch_.clear();
-      reconciler_.collect_watch(watch_scratch_);
-      if (watchdog_ != nullptr) {
-        watchdog_->collect_adoption_pending(watchdog_group_, watch_scratch_);
-      }
-      collector_.set_watch(watch_scratch_);
-    }
     collector_.collect(nodes, now, monitored_jobs);
     quiet_since_build_ = quiet_since_build_ && collector_.last_sweep_quiet();
   } else {
@@ -1292,9 +999,8 @@ void CappingManager::restore(const ShardCheckpoint& cp) {
   // checkpointed collector timebase; resume the clock there or every ack
   // and staleness comparison would be skewed by the restart.
   collector_.restore_cycle_count(cp.collector_cycles);
-  // Reconciler state just jumped wholesale; rebuild the context from
-  // scratch rather than trusting pre-restore dirty bookkeeping.
-  inc_valid_ = false;
+  // Reconciler state just jumped wholesale: no skip may stand in for the
+  // next build.
   quiet_since_build_ = false;
   observation_lag_ = false;
 }

@@ -238,15 +238,6 @@ struct CappingManagerParams {
   /// policies act before P_L is crossed. refresh_cycles == 0 resolves to
   /// thresholds.adjust_period_cycles (the learner's t_p cadence).
   PredictionParams prediction;
-  /// Incremental context plane: keep the policy context, per-slot view
-  /// records and per-job aggregates alive across cycles and re-derive only
-  /// what changed — telemetry deltas from the collector's change cursors,
-  /// job churn from the JobIndex epoch, actuation state from the
-  /// reconciler/watchdog watch set. Decisions, counters and exports are
-  /// bit-identical to the full rebuild (`off` = rebuild every cycle, the
-  /// A/B baseline); only reconciler observed-cycle stamps may lag, since a
-  /// content-identical confirmation carries no new information.
-  bool incremental_context = true;
 };
 
 /// The paper's architecture: candidate-set telemetry + threshold learning
@@ -352,18 +343,6 @@ class CappingManager final : public PowerManagerBase {
     return scorer_;
   }
 
-  /// Which path each context build took (lifetime totals). Lets tests and
-  /// benches assert the delta plane actually engages instead of inferring
-  /// it from wall time.
-  struct IncrementalStats {
-    std::uint64_t full_builds = 0;   ///< sharded O(candidates) assemblies
-    std::uint64_t delta_builds = 0;  ///< delta path (includes no-ops)
-    std::uint64_t noop_builds = 0;   ///< empty dirty set + unchanged jobs
-    std::uint64_t dirty_slots = 0;   ///< Σ dirty slots over delta builds
-  };
-  [[nodiscard]] const IncrementalStats& incremental_stats() const {
-    return inc_stats_;
-  }
   /// Gated cycles whose context build was skipped (lifetime total).
   [[nodiscard]] std::uint64_t context_skips() const { return context_skips_; }
 
@@ -564,46 +543,26 @@ class CappingManager final : public PowerManagerBase {
   };
 
   /// Phase-1 body for one slot: derives view_records_[slot] from strictly
-  /// per-node inputs. Shared by the full sharded pass and the delta
-  /// refill.
+  /// per-node inputs.
   void fill_view_record(std::size_t slot,
                         const std::vector<hw::NodeId>& candidates,
                         const std::vector<hw::Node>& nodes,
                         const ActuationReconciler* rec,
                         std::uint64_t now_cycle, std::uint64_t max_age) const;
 
-  /// The serial order-sensitive merge over ALL persisted records, plus
-  /// index_nodes(). Resets and re-accumulates the context tallies. When
-  /// `inc_track` it also rebuilds inc_pos_/inc_degraded_.
-  void merge_records_full(PolicyContext& ctx,
-                          const std::vector<hw::Node>& nodes,
-                          ActuationReconciler* rec,
-                          ActuationReconciler::CycleWork* work,
-                          std::uint64_t now_cycle, bool inc_track) const;
+  /// The serial order-sensitive merge over every record, plus
+  /// index_nodes(). Resets and re-accumulates the context tallies.
+  void merge_records(PolicyContext& ctx, const std::vector<hw::Node>& nodes,
+                     ActuationReconciler* rec,
+                     ActuationReconciler::CycleWork* work,
+                     std::uint64_t now_cycle) const;
 
   /// Phase 2 over every job entry (parallel stage + serial compaction).
-  /// When `inc_track` it records entry -> ctx.jobs positions.
-  void job_pass_full(PolicyContext& ctx, bool inc_track) const;
+  void job_pass(PolicyContext& ctx) const;
 
-  /// Computes one entry's JobView against the current ctx.nodes — the
-  /// exact arithmetic of the staged job pass, reused by the delta path.
+  /// Computes one entry's JobView against the current ctx.nodes.
   static void fill_job_view(const JobIndex::Entry& e, const PolicyContext& ctx,
                             JobView& jv);
-
-  /// Rebuilds the node-id -> job-entry CSR used to map dirty slots to the
-  /// job views they feed.
-  void rebuild_job_csr() const;
-
-  /// The delta path: dirty-slot scan, tally retraction, parallel refill,
-  /// in-place serial merge of dirty slots and per-entry job refresh.
-  /// Falls back to merge_records_full/job_pass_full on presence flips.
-  void build_context_delta(PolicyContext& ctx, Watts measured,
-                           const std::vector<hw::Node>& nodes,
-                           const sched::Scheduler& scheduler,
-                           ActuationReconciler* rec,
-                           ActuationReconciler::CycleWork* work,
-                           std::uint64_t now_cycle,
-                           std::uint64_t max_age) const;
 
   CappingManagerParams params_;
   PolicyPtr policy_;
@@ -667,32 +626,6 @@ class CappingManager final : public PowerManagerBase {
   /// advance to the image.
   bool observation_lag_ = false;
   std::uint64_t context_skips_ = 0;
-
-  // --- Incremental context plane (params_.incremental_context) ---------
-  // Valid only between builds of the persistent scratch_ctx_ through the
-  // reconciler; any structural change (candidate churn, warm restart)
-  // drops inc_valid_ and the next build is a full one.
-  static constexpr std::uint32_t kNoPos = 0xffffffffu;
-  mutable bool inc_valid_ = false;
-  mutable std::uint64_t inc_build_cycle_ = 0;  ///< collector cycle of last build
-  mutable std::uint64_t inc_job_epoch_ = 0;    ///< JobIndex epoch of last build
-  mutable std::vector<std::uint32_t> inc_pos_;  ///< slot -> ctx.nodes index
-  /// Slot's record was not clean-and-fresh at the last build (missing,
-  /// unresponsive, stale, substituted, rejected deliveries, or carrying
-  /// in-flight inflation): must be re-derived even without a telemetry
-  /// content change, because its view depends on state that moves with
-  /// the clock.
-  mutable std::vector<std::uint8_t> inc_degraded_;
-  mutable std::vector<std::uint32_t> inc_dirty_;        ///< scratch: dirty slots
-  mutable std::vector<std::uint8_t> inc_old_present_;   ///< scratch, per dirty
-  mutable std::vector<std::uint32_t> inc_job_pos_;  ///< entry -> ctx.jobs index
-  mutable std::vector<std::uint32_t> inc_csr_off_;  ///< node id -> csr offset
-  mutable std::vector<std::uint32_t> inc_csr_;      ///< job-entry indices
-  mutable std::vector<std::uint8_t> inc_job_dirty_; ///< scratch, per entry
-  mutable JobView inc_job_scratch_;
-  mutable IncrementalStats inc_stats_;
-  /// Reconciler + watchdog watch set handed to the collector pre-sweep.
-  std::vector<hw::NodeId> watch_scratch_;
 };
 
 /// A null manager: monitors nothing, throttles nothing. The |A_candidate|=0

@@ -687,9 +687,26 @@ struct RunResult {
   power::ManagerReport last;
 };
 
+/// Every actuation channel the degraded run asserts on has fired: commands
+/// were lost, nodes rebooted, and some command was retried and some
+/// divergence healed.
+bool actuation_faults_fired(const cluster::Cluster& cl) {
+  std::size_t retries = 0;
+  std::size_t heals = 0;
+  for (const metrics::CyclePoint& p : cl.recorder().points()) {
+    retries += p.retries;
+    heals += p.heals;
+  }
+  return cl.last_report().commands_lost > 0 &&
+         cl.last_report().reboot_events > 0 && retries > 0 && heals > 0;
+}
+
 /// A degraded-actuation cluster run: command loss AND delivery delay AND
 /// failed/partial transitions AND reboot churn, on top of lossy/delayed
-/// telemetry, with the parallel node sweeps forced on.
+/// telemetry, with the parallel node sweeps forced on. A seed whose job
+/// stream keeps the meter under P_L sends no command, so the run goes on
+/// in 250 s steps past its 500 s window until every channel has fired (at
+/// most 4000 s). A bit-identical replay stops at the same step.
 RunResult run_degraded_actuation_cluster(std::size_t worker_threads) {
   cluster::ClusterConfig cfg;
   cfg.num_nodes = 200;
@@ -736,6 +753,10 @@ RunResult run_degraded_actuation_cluster(std::size_t worker_threads) {
 
   cl.start_recording();
   cl.run(Seconds{500.0});
+  for (double t = 500.0; !actuation_faults_fired(cl) && t < 4000.0;
+       t += 250.0) {
+    cl.run(Seconds{250.0});
+  }
 
   RunResult out;
   out.points = cl.recorder().points();

@@ -132,6 +132,9 @@ TEST(ConfigLoader, OutOfRangeRateStillCaughtByParamsValidate) {
 TEST(ConfigLoader, UnknownKeyThrows) {
   EXPECT_THROW(load("[cluster]\nnoodles = 128\n"), std::runtime_error);
   EXPECT_THROW(load("typo = 1\n"), std::runtime_error);
+  // The delta context plane's switch (`[context] incremental`) is gone: an
+  // old config that still sets it must fail loudly, not be ignored.
+  EXPECT_THROW(load("[context]\nincremental = on\n"), std::runtime_error);
 }
 
 TEST(ConfigLoader, BadNpbClassThrows) {

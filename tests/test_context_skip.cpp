@@ -479,7 +479,6 @@ std::unique_ptr<power::PowerManagerBase> make_tree(
   p.collector.faults = cfg.faults;
   p.max_sample_age_cycles = cfg.max_sample_age_cycles;
   p.stale_power_margin = cfg.stale_power_margin;
-  p.incremental_context = cfg.incremental_context;
   p.actuation = cfg.actuation;
   p.reconciliation = cfg.reconciliation;
   power::ZoneTreeParams zp;

@@ -38,9 +38,24 @@ struct RunResult {
   std::uint64_t samples_suppressed = 0;
 };
 
+/// Every fault channel the degraded run asserts on has fired: reports were
+/// lost and suppressed, and some built context held a stale view.
+bool telemetry_faults_fired(const cluster::Cluster& cl) {
+  std::size_t stale = 0;
+  for (const metrics::CyclePoint& p : cl.recorder().points()) {
+    stale += p.stale_nodes;
+  }
+  return cl.last_report().samples_lost > 0 &&
+         cl.last_report().samples_suppressed > 0 && stale > 0;
+}
+
 /// A degraded-management-plane cluster run: report loss AND delivery
 /// delay AND agent dropout/crash/corruption AND periodic candidate
-/// re-selection, with the parallel sweeps forced on.
+/// re-selection, with the parallel sweeps forced on. Stale views are only
+/// counted in a built context, and a seed whose job stream keeps the meter
+/// under P_L builds none, so the run goes on in 250 s steps past its
+/// 500 s window until every channel has fired (at most 4000 s). A
+/// bit-identical replay stops at the same step.
 RunResult run_degraded_cluster(std::size_t worker_threads) {
   cluster::ClusterConfig cfg;
   cfg.num_nodes = 200;
@@ -85,6 +100,10 @@ RunResult run_degraded_cluster(std::size_t worker_threads) {
 
   cl.start_recording();
   cl.run(Seconds{500.0});
+  for (double t = 500.0; !telemetry_faults_fired(cl) && t < 4000.0;
+       t += 250.0) {
+    cl.run(Seconds{250.0});
+  }
 
   RunResult out;
   out.points = cl.recorder().points();

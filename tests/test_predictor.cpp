@@ -684,11 +684,9 @@ struct PredictiveRun {
 
 /// A degraded-plane cluster run under a predictive policy: lossy delayed
 /// transport, agent dropout and corruption, forecasts live — the whole
-/// stack must stay bit-identical across worker-thread counts and across
-/// incremental/rebuild context modes.
+/// stack must stay bit-identical across worker-thread counts.
 PredictiveRun run_predictive_cluster(std::size_t worker_threads,
-                                     const std::string& policy,
-                                     bool incremental) {
+                                     const std::string& policy) {
   cluster::ClusterConfig cfg;
   cfg.num_nodes = 100;
   cfg.spec = hw::tianhe1a_node_spec();
@@ -714,7 +712,6 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
   p.collector.faults.agent_recovery_rate = 0.25;
   p.collector.faults.corruption_rate = 0.01;
   p.max_sample_age_cycles = 3;
-  p.incremental_context = incremental;
   p.prediction.enabled = true;
   p.prediction.kind = "ewma";
   p.prediction.horizon_cycles = 5;
@@ -733,8 +730,7 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
   return out;
 }
 
-void expect_identical(const PredictiveRun& a, const PredictiveRun& b,
-                      bool compare_prom) {
+void expect_identical(const PredictiveRun& a, const PredictiveRun& b) {
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
     const metrics::CyclePoint& pa = a.points[i];
@@ -750,31 +746,23 @@ void expect_identical(const PredictiveRun& a, const PredictiveRun& b,
   EXPECT_EQ(a.samples_lost, b.samples_lost);
   // The Prometheus export is the cross-cutting check: every counter and
   // gauge — including the pcap_predictor_* series — in one diff.
-  // Incremental/rebuild runs legitimately differ in the context-build
-  // statistics, so only thread-count comparisons include it.
-  if (compare_prom) EXPECT_EQ(a.prom, b.prom);
+  EXPECT_EQ(a.prom, b.prom);
 }
 
 TEST(PredictiveDeterminism, PiCDegradedRunIsThreadInvariant) {
-  const PredictiveRun serial = run_predictive_cluster(1, "pi-c", true);
+  const PredictiveRun serial = run_predictive_cluster(1, "pi-c");
   ASSERT_GT(serial.points.size(), 250u);
   EXPECT_GT(serial.samples_lost, 0u);  // the fault machinery really fired
   EXPECT_NE(serial.prom.find("pcap_predictor_forecast_watts"),
             std::string::npos);
-  const PredictiveRun four = run_predictive_cluster(4, "pi-c", true);
-  expect_identical(serial, four, /*compare_prom=*/true);
+  const PredictiveRun four = run_predictive_cluster(4, "pi-c");
+  expect_identical(serial, four);
 }
 
 TEST(PredictiveDeterminism, PredCDegradedRunIsThreadInvariant) {
-  const PredictiveRun serial = run_predictive_cluster(1, "pred-c", true);
-  const PredictiveRun four = run_predictive_cluster(4, "pred-c", true);
-  expect_identical(serial, four, /*compare_prom=*/true);
-}
-
-TEST(PredictiveDeterminism, IncrementalAndRebuildContextsAgree) {
-  const PredictiveRun inc = run_predictive_cluster(1, "pi-c", true);
-  const PredictiveRun rebuild = run_predictive_cluster(1, "pi-c", false);
-  expect_identical(inc, rebuild, /*compare_prom=*/false);
+  const PredictiveRun serial = run_predictive_cluster(1, "pred-c");
+  const PredictiveRun four = run_predictive_cluster(4, "pred-c");
+  expect_identical(serial, four);
 }
 
 }  // namespace

@@ -453,8 +453,7 @@ struct RunResult {
 /// A degraded-management-plane cluster run under the Z=3 zone tree:
 /// telemetry loss/delay/dropout/crash/corruption AND a lossy, delayed,
 /// reboot-prone actuation plane, with the zone fan-out forced parallel.
-RunResult run_degraded_zone_cluster(std::size_t worker_threads,
-                                    bool incremental = true) {
+RunResult run_degraded_zone_cluster(std::size_t worker_threads) {
   cluster::ClusterConfig cfg;
   cfg.num_nodes = 200;
   cfg.spec = hw::tianhe1a_node_spec();
@@ -487,7 +486,6 @@ RunResult run_degraded_zone_cluster(std::size_t worker_threads,
   p.actuation.partial_transition_rate = 0.05;
   p.actuation.reboot_rate = 1e-3;
   p.actuation.reboot_duration_cycles = 10;
-  p.incremental_context = incremental;
 
   ZoneTreeParams zp;
   zp.zone_count = 3;
@@ -547,22 +545,7 @@ TEST(ZoneTree, DegradedZonedRunIsBitIdenticalAcrossWorkerCounts) {
   expect_identical(serial, four);
 }
 
-// -- incremental context plane: the delta path must be invisible ---------
-
-// Degraded telemetry + lossy actuation: loss and delay disarm the sample
-// dedup (draws must stay aligned) but the delta-maintained contexts stay
-// on, with most slots dirtied by lagging confirmations every cycle —
-// exactly the regime where a missed invalidation would surface. Together
-// with DegradedZonedRunIsBitIdenticalAcrossWorkerCounts (incremental,
-// 1 vs 4 workers) this closes the {incremental, rebuild} x {1, 4} matrix.
-TEST(ZoneTree, IncrementalMatchesRebuildUnderDegradedPlane) {
-  const RunResult inc = run_degraded_zone_cluster(1, true);
-  ASSERT_GT(inc.points.size(), 400u);
-  const RunResult reb = run_degraded_zone_cluster(1, false);
-  expect_identical(inc, reb);
-  const RunResult reb4 = run_degraded_zone_cluster(4, false);
-  expect_identical(inc, reb4);
-}
+// -- spike episodes: the sharded context build must be invisible ---------
 
 /// Everything a spike episode externally produces: a per-cycle report
 /// trace, the final DVFS levels, and the full Prometheus export with the
@@ -572,7 +555,6 @@ struct EpisodeResult {
   std::vector<std::string> trace;
   std::vector<hw::Level> levels;
   std::string prom;
-  CappingManager::IncrementalStats stats;
   std::uint64_t context_skips = 0;
 };
 
@@ -595,10 +577,9 @@ std::string strip_spans(const std::string& text) {
 /// A clean-plane (exact transport) Z=4 spike episode: shed leg, T_g-paced
 /// restore leg, full quiescence — optionally with candidate churn and a
 /// mid-episode warm restart folded in. Every externally visible output is
-/// captured for exact comparison across {incremental, rebuild} x threads.
-EpisodeResult run_spike_episode(const char* policy, bool incremental,
-                                std::size_t threads, bool churn,
-                                bool warm_restart) {
+/// captured for exact comparison across worker counts.
+EpisodeResult run_spike_episode(const char* policy, std::size_t threads,
+                                bool churn, bool warm_restart) {
   Rig rig(64);
   for (std::size_t i = 0; i < rig.nodes.size(); ++i) {
     rig.set_util(rig.nodes[i],
@@ -622,7 +603,6 @@ EpisodeResult run_spike_episode(const char* policy, bool incremental,
   p.collector.parallel_threshold = 8;
   p.collector.parallel_grain = 4;
   p.green_collect_stride = 1;
-  p.incremental_context = incremental;
   ZoneTreeParams zp;
   zp.zone_count = 4;
   zp.redistribution = ZoneTreeParams::Redistribution::kProportional;
@@ -660,7 +640,7 @@ EpisodeResult run_spike_episode(const char* policy, bool incremental,
       // Encode through the wire image, restore into a freshly built
       // controller, swap it in mid-episode — the paper's controller
       // replacement. Metrics bind to the replacement only (the lifetime
-      // counters restart, identically for both modes).
+      // counters restart, identically for every worker count).
       const std::string image = encode_checkpoint(mgr->checkpoint());
       auto restarted = make_mgr();
       restarted->set_thread_pool(pool.get());
@@ -687,12 +667,6 @@ EpisodeResult run_spike_episode(const char* policy, bool incremental,
   for (const hw::Node& n : rig.nodes) out.levels.push_back(n.level());
   out.prom = strip_spans(reg.prometheus_text());
   for (std::size_t z = 0; z < mgr->zone_count(); ++z) {
-    const CappingManager::IncrementalStats& st =
-        mgr->zone(z).incremental_stats();
-    out.stats.full_builds += st.full_builds;
-    out.stats.delta_builds += st.delta_builds;
-    out.stats.noop_builds += st.noop_builds;
-    out.stats.dirty_slots += st.dirty_slots;
     out.context_skips += mgr->zone(z).context_skips();
   }
   return out;
@@ -707,58 +681,45 @@ void expect_episode_identical(const EpisodeResult& a, const EpisodeResult& b) {
   EXPECT_EQ(a.prom, b.prom);
 }
 
-TEST(ZoneTree, IncrementalEpisodeMatchesRebuildBitForBit) {
-  const EpisodeResult inc = run_spike_episode("mpc-c", true, 1, false, false);
-  // The delta plane actually engaged: quiet T_g-wait cycles skipped their
-  // builds outright, and delta builds dominate the full assemblies.
-  EXPECT_GT(inc.context_skips, 0u);
-  EXPECT_GT(inc.stats.delta_builds, inc.stats.full_builds);
-  const EpisodeResult reb = run_spike_episode("mpc-c", false, 1, false, false);
-  EXPECT_EQ(reb.stats.delta_builds, 0u);
-  expect_episode_identical(inc, reb);
-  // Worker count must not leak into the merge: the same episode, sharded
-  // four ways, in both modes.
-  const EpisodeResult inc4 = run_spike_episode("mpc-c", true, 4, false, false);
-  expect_episode_identical(inc, inc4);
-  const EpisodeResult reb4 = run_spike_episode("mpc-c", false, 4, false, false);
-  expect_episode_identical(inc, reb4);
+TEST(ZoneTree, SpikeEpisodeIsBitIdenticalAcrossWorkerCounts) {
+  const EpisodeResult serial = run_spike_episode("mpc-c", 1, false, false);
+  // The episode reached the T_g wait: quiet cycles skipped their builds.
+  EXPECT_GT(serial.context_skips, 0u);
+  // Worker count must not leak into the sharded fill or the serial merge.
+  const EpisodeResult four = run_spike_episode("mpc-c", 4, false, false);
+  expect_episode_identical(serial, four);
 }
 
 // Thermal policies read board temperature, which drifts with sim-time
-// without ever passing a pool mutator — the one field the state-epoch
-// fast path cannot vouch for. ht-c must still be bit-identical.
-TEST(ZoneTree, ThermalPolicyEpisodeMatchesRebuild) {
-  const EpisodeResult inc = run_spike_episode("ht-c", true, 1, false, false);
-  const EpisodeResult reb = run_spike_episode("ht-c", false, 1, false, false);
-  expect_episode_identical(inc, reb);
+// between samples; ht-c orders jobs by it and must stay bit-identical.
+TEST(ZoneTree, ThermalPolicyEpisodeIsBitIdenticalAcrossWorkerCounts) {
+  const EpisodeResult serial = run_spike_episode("ht-c", 1, false, false);
+  const EpisodeResult four = run_spike_episode("ht-c", 4, false, false);
+  expect_episode_identical(serial, four);
 }
 
 // Candidate churn mid-episode: slots move, appear and vanish under the
-// persistent contexts (the presence-flip path falls back to a full
-// merge); the change-tracking state has to travel with the histories.
-TEST(ZoneTree, CandidateChurnEpisodeMatchesRebuild) {
-  const EpisodeResult inc = run_spike_episode("mpc-c", true, 1, true, false);
-  const EpisodeResult reb = run_spike_episode("mpc-c", false, 1, true, false);
-  expect_episode_identical(inc, reb);
-  const EpisodeResult inc4 = run_spike_episode("mpc-c", true, 4, true, false);
-  expect_episode_identical(inc, inc4);
+// persistent view records and sample histories.
+TEST(ZoneTree, CandidateChurnEpisodeIsBitIdenticalAcrossWorkerCounts) {
+  const EpisodeResult serial = run_spike_episode("mpc-c", 1, true, false);
+  const EpisodeResult four = run_spike_episode("mpc-c", 4, true, false);
+  expect_episode_identical(serial, four);
 }
 
 // A warm restart replaces the controller mid-episode: the replacement
-// starts with cold persistent contexts and must rebuild, then re-enter
-// the delta path, without its decisions drifting from the rebuild plane.
-TEST(ZoneTree, WarmRestartEpisodeMatchesRebuild) {
-  const EpisodeResult inc = run_spike_episode("mpc-c", true, 1, false, true);
-  const EpisodeResult reb = run_spike_episode("mpc-c", false, 1, false, true);
-  expect_episode_identical(inc, reb);
+// starts with empty histories and cold contexts, and its decisions must
+// not depend on how its context builds are sharded.
+TEST(ZoneTree, WarmRestartEpisodeIsBitIdenticalAcrossWorkerCounts) {
+  const EpisodeResult serial = run_spike_episode("mpc-c", 1, false, true);
+  const EpisodeResult four = run_spike_episode("mpc-c", 4, false, true);
+  expect_episode_identical(serial, four);
 }
 
-// The drain-length regression the bench gates on wall clock, pinned down
-// functionally at 8k nodes: a demand step must reach all-zones-quiescent
-// in bounded cycles on the delta path, and a second, context-warm episode
-// must take exactly as long (the persistent contexts do not accumulate
-// state that changes decisions).
-TEST(ZoneTree, DemandStepDrainsInBoundedCyclesOnTheDeltaPath) {
+// The drain length pinned down functionally at 8k nodes: a demand step
+// must reach all-zones-quiescent in bounded cycles, and a second,
+// context-warm episode must take exactly as long (the persistent
+// contexts do not accumulate state that changes decisions).
+TEST(ZoneTree, DemandStepDrainsInBoundedCycles) {
   Rig rig(8192);
   for (std::size_t i = 0; i < rig.nodes.size(); ++i) {
     rig.set_util(rig.nodes[i],
@@ -778,7 +739,6 @@ TEST(ZoneTree, DemandStepDrainsInBoundedCyclesOnTheDeltaPath) {
   p.collector.agent.utilization_noise = 0.0;
   p.collector.agent.nic_noise = 0.0;
   p.green_collect_stride = 1;
-  p.incremental_context = true;
   ZoneTreeParams zp;
   zp.zone_count = 8;
   zp.redistribution = ZoneTreeParams::Redistribution::kProportional;
@@ -812,24 +772,12 @@ TEST(ZoneTree, DemandStepDrainsInBoundedCyclesOnTheDeltaPath) {
   EXPECT_LT(cold, 64) << "demand step never reached quiescence";
   const int warm = episode();
   EXPECT_EQ(cold, warm);
-  CappingManager::IncrementalStats total;
   std::uint64_t context_skips = 0;
   for (std::size_t z = 0; z < mgr.zone_count(); ++z) {
-    const CappingManager::IncrementalStats& st =
-        mgr.zone(z).incremental_stats();
-    total.full_builds += st.full_builds;
-    total.delta_builds += st.delta_builds;
-    total.noop_builds += st.noop_builds;
-    total.dirty_slots += st.dirty_slots;
     context_skips += mgr.zone(z).context_skips();
   }
-  // The episodes ran on the delta path: quiet drain cycles skipped their
-  // builds outright, and the dirty waves touched only the shed cohort —
-  // not the whole candidate set every active cycle.
+  // Quiet drain cycles inside the T_g wait skipped their builds outright.
   EXPECT_GT(context_skips, 0u);
-  EXPECT_GT(total.delta_builds, total.full_builds);
-  EXPECT_LT(total.dirty_slots,
-            static_cast<std::uint64_t>(cold + warm) * 8192u / 2u);
 }
 
 }  // namespace
