@@ -11,8 +11,8 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bench_common.hpp"
 #include "hw/node_spec.hpp"
+#include "metrics/report.hpp"
 #include "power/manager.hpp"
 #include "power/policy_registry.hpp"
 #include "workload/job_generator.hpp"
@@ -63,9 +63,10 @@ struct Rig {
 
 int main() {
   using namespace pcap;
-  bench::print_header(
-      "Figure 5: scalability of the global manager",
-      "central-manager CPU utilisation grows non-linearly with |A_candidate|");
+  std::printf(
+      "\n=== Figure 5: scalability of the global manager ===\n"
+      "paper: central-manager CPU utilisation grows non-linearly with "
+      "|A_candidate|\n\n");
 
   Rig rig;
   metrics::Table table({"|A_candidate|", "monitored jobs", "model cost (us)",

@@ -5,134 +5,78 @@
 //   * ΔP×T reduced by 73% (MPC) and 66% (HRI),
 //   * CPLJ(MPC) > CPLJ(HRI) (paper: by 1.4%),
 //   * the system never enters the red state while capping is active.
+// The table is the sweep engine's (the same rows as
+// `pcapsweep --config examples/configs/paper_fig7.ini`); this bench adds
+// the claim lines, each ending in `holds` or `MISMATCH`.
 #include <cstdio>
 
-#include "bench_common.hpp"
+#include "cluster/sweep.hpp"
 
 int main() {
   using namespace pcap;
-  using namespace pcap::bench;
+  using cluster::RowSummary;
 
-  print_header(
-      "Figure 7: power capping results of different policies "
-      "(|A_candidate| = 128)",
-      "~2% performance loss, ~10% lower P_max, dPxT -73% (MPC) / -66% "
-      "(HRI), CPLJ(MPC) > CPLJ(HRI), never red");
+  std::printf(
+      "\n=== Figure 7: power capping results of different policies "
+      "(|A_candidate| = 128) ===\n"
+      "paper: ~2%% performance loss, ~10%% lower P_max, dPxT -73%% (MPC) / "
+      "-66%% (HRI), CPLJ(MPC) > CPLJ(HRI), never red\n\n");
 
-  cluster::ExperimentConfig base = cluster::paper_scenario();
-  base.provision = calibrate_provision(base);
-  std::printf("calibrated provision P_Max = %.0f W (training %.0f h, "
-              "measured %.0f h simulated)\n",
-              base.provision.value(), base.training.value() / 3600.0,
-              base.measured.value() / 3600.0);
-
-  const std::vector<std::uint64_t> seeds = {42, 1234, 777};
+  // An empty base is paper_scenario(): 4 h training + 12 h measured.
+  cluster::SweepSpec spec;
+  spec.seeds = {42, 1234, 777};
+  spec.rows = {"manager.policy=mpc",   "manager.policy=hri",
+               "manager.policy=mpc-c", "manager.policy=hri-c",
+               "manager.policy=pi-c",  "manager.policy=pred-c"};
   common::ThreadPool pool;
+  const cluster::SweepResult sweep = cluster::run_sweep(spec, pool);
+  std::fputs(cluster::format_sweep(sweep).c_str(), stdout);
 
-  cluster::ExperimentConfig none = base;
-  none.manager = "none";
-  const AveragedResult baseline = average_over_seeds(none, seeds, pool);
-
-  metrics::Table table({"policy", "perf", "CPLJ", "P_max (W)", "P_max vs none",
-                        "dPxT", "dPxT reduction", "yellow (s)", "red (s)"});
-  const auto add_row = [&](const AveragedResult& r) {
-    const double pmax_delta = r.p_max_w / baseline.p_max_w - 1.0;
-    const double dpxt_red =
-        baseline.delta_pxt > 0.0 ? 1.0 - r.delta_pxt / baseline.delta_pxt
-                                 : 0.0;
-    table.cell(r.manager)
-        .cell(r.performance, 4)
-        .cell_percent(r.lossless_fraction)
-        .cell(r.p_max_w, 0)
-        .cell_percent(pmax_delta)
-        .cell(r.delta_pxt, 5)
-        .cell_percent(dpxt_red)
-        .cell(r.yellow_s, 0)
-        .cell(r.red_s, 0);
-    table.end_row();
-  };
-
-  add_row(baseline);
-  AveragedResult mpc;
-  AveragedResult hri;
-  AveragedResult mpc_c;
-  AveragedResult hri_c;
-  AveragedResult pi_c;
-  AveragedResult pred_c;
-  for (const char* policy :
-       {"mpc", "hri", "mpc-c", "hri-c", "pi-c", "pred-c"}) {
-    cluster::ExperimentConfig cfg = base;
-    cfg.manager = policy;
-    const AveragedResult r = average_over_seeds(cfg, seeds, pool);
-    add_row(r);
-    const std::string name = policy;
-    if (name == "mpc") mpc = r;
-    if (name == "hri") hri = r;
-    if (name == "mpc-c") mpc_c = r;
-    if (name == "hri-c") hri_c = r;
-    if (name == "pi-c") pi_c = r;
-    if (name == "pred-c") pred_c = r;
-  }
-  table.print();
-
+  const RowSummary& none = *sweep.none;
+  const RowSummary& mpc = sweep.rows[0];
+  const RowSummary& hri = sweep.rows[1];
+  const RowSummary& mpc_c = sweep.rows[2];
+  const RowSummary& hri_c = sweep.rows[3];
   std::printf("\nheadline checks vs the paper:\n");
   std::printf("  performance loss: MPC %.1f%%, HRI %.1f%% (paper ~2%%)\n",
-              (1.0 - mpc.performance) * 100.0, (1.0 - hri.performance) * 100.0);
+              (1.0 - mpc.perf.mean) * 100.0, (1.0 - hri.perf.mean) * 100.0);
   std::printf("  P_max reduction: MPC %.1f%%, HRI %.1f%% (paper ~10%%)\n",
-              (1.0 - mpc.p_max_w / baseline.p_max_w) * 100.0,
-              (1.0 - hri.p_max_w / baseline.p_max_w) * 100.0);
+              (1.0 - mpc.p_max.mean / none.p_max.mean) * 100.0,
+              (1.0 - hri.p_max.mean / none.p_max.mean) * 100.0);
   std::printf("  dPxT reduction: MPC %.0f%%, HRI %.0f%% (paper 73%% / 66%%)\n",
-              (1.0 - mpc.delta_pxt / baseline.delta_pxt) * 100.0,
-              (1.0 - hri.delta_pxt / baseline.delta_pxt) * 100.0);
+              (1.0 - mpc.delta_pxt.mean / none.delta_pxt.mean) * 100.0,
+              (1.0 - hri.delta_pxt.mean / none.delta_pxt.mean) * 100.0);
   std::printf("  CPLJ: MPC %.1f%% vs HRI %.1f%% (paper: MPC higher by 1.4%%)"
               " -> %s\n",
-              mpc.lossless_fraction * 100.0, hri.lossless_fraction * 100.0,
-              mpc.lossless_fraction > hri.lossless_fraction ? "ordering holds"
-                                                            : "MISMATCH");
+              mpc.cplj.mean * 100.0, hri.cplj.mean * 100.0,
+              mpc.cplj.mean > hri.cplj.mean ? "ordering holds" : "MISMATCH");
   std::printf("  dPxT ordering MPC better than HRI -> %s\n",
-              mpc.delta_pxt <= hri.delta_pxt ? "holds" : "MISMATCH");
+              mpc.delta_pxt.mean <= hri.delta_pxt.mean ? "holds" : "MISMATCH");
   std::printf("  red state with capping: MPC %.1f s, HRI %.1f s per 12 h "
               "(paper: never)\n",
-              mpc.red_s, hri.red_s);
+              mpc.red_s.mean, hri.red_s.mean);
 
-  // Predictive capping (ROADMAP): the forecast-driven policies must beat
-  // the best reactive collections on overspend and red excursions while
-  // giving up no more than ~2% of Performance(cap)/CPLJ.
-  std::printf("\npredictive capping (PI-C / PRED-C vs reactive "
-              "collections):\n");
-  const AveragedResult& best_reactive =
-      mpc_c.delta_pxt <= hri_c.delta_pxt ? mpc_c : hri_c;
-  const auto pred_line = [&](const AveragedResult& r) {
-    std::printf("  %-7s dPxT %.5f (%+.0f%% vs %s), red %.1f (vs %.1f), "
-                "perf %.4f (%+.2f%%), CPLJ %.1f%% (%+.2f pp), "
-                "elevations %.0f, overshoots %.0f, misses %.0f\n",
-                r.manager.c_str(), r.delta_pxt,
-                best_reactive.delta_pxt > 0.0
-                    ? (r.delta_pxt / best_reactive.delta_pxt - 1.0) * 100.0
-                    : 0.0,
-                best_reactive.manager.c_str(), r.red_s, best_reactive.red_s,
-                r.performance,
-                (r.performance / best_reactive.performance - 1.0) * 100.0,
-                r.lossless_fraction * 100.0,
-                (r.lossless_fraction - best_reactive.lossless_fraction) *
-                    100.0,
-                r.predictive_elevations, r.predictor_overshoots,
-                r.predictor_misses);
+  // Predictive capping: the forecast-driven policies must beat the best
+  // reactive collection on overspend and red excursions while giving up no
+  // more than ~2% of Performance(cap)/CPLJ.
+  const RowSummary& best =
+      mpc_c.delta_pxt.mean <= hri_c.delta_pxt.mean ? mpc_c : hri_c;
+  const auto holds = [&](const RowSummary& r) {
+    return r.delta_pxt.mean <= best.delta_pxt.mean &&
+           r.red_s.mean <= best.red_s.mean &&
+           r.perf.mean >= best.perf.mean * 0.98 &&
+           r.cplj.mean >= best.cplj.mean - 0.02;
   };
-  pred_line(pi_c);
-  pred_line(pred_c);
-  const auto holds = [&](const AveragedResult& r) {
-    return r.delta_pxt <= best_reactive.delta_pxt &&
-           r.red_s <= best_reactive.red_s &&
-           r.performance >= best_reactive.performance * 0.98 &&
-           r.lossless_fraction >= best_reactive.lossless_fraction - 0.02;
-  };
+  const bool pi_c = holds(sweep.rows[4]);
+  const bool pred_c = holds(sweep.rows[5]);
   // The claim is "a forecast-driven policy acts before the threshold is
   // crossed", not "every tuning of one does": it holds when at least one
   // of PI-C/PRED-C dominates the best reactive collection.
-  std::printf("  acts-before-threshold (lower dPxT, no more red, perf/CPLJ "
-              "within 2%%): PI-C %s, PRED-C %s -> claim %s\n",
-              holds(pi_c) ? "holds" : "short", holds(pred_c) ? "holds" : "short",
-              holds(pi_c) || holds(pred_c) ? "holds" : "MISMATCH");
+  std::printf("\npredictive capping vs %s: acts-before-threshold (lower "
+              "dPxT, no more red, perf/CPLJ within 2%%): PI-C %s, PRED-C %s "
+              "-> claim %s\n",
+              best.label.c_str(), pi_c ? "holds" : "short",
+              pred_c ? "holds" : "short",
+              pi_c || pred_c ? "holds" : "MISMATCH");
   return 0;
 }

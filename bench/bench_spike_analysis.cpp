@@ -8,22 +8,24 @@
 // steps; LPC nibbles and oscillates.
 #include <cstdio>
 
-#include "bench_common.hpp"
 #include "cluster/cluster.hpp"
+#include "cluster/scenario.hpp"
+#include "metrics/report.hpp"
 #include "metrics/trace_analysis.hpp"
 
 int main() {
   using namespace pcap;
-  using namespace pcap::bench;
-
-  print_header("Spike structure under capping (provision excursions)",
-               "capping should turn few long, tall excursions into fewer, "
-               "shorter, flatter ones");
+  std::printf(
+      "\n=== Spike structure under capping (provision excursions) ===\n"
+      "paper: capping should turn few long, tall excursions into fewer, "
+      "shorter, flatter ones\n\n");
 
   cluster::ExperimentConfig base = cluster::paper_scenario();
   base.training = Seconds{2 * 3600.0};
   base.measured = Seconds{6 * 3600.0};
-  base.provision = calibrate_provision(base);
+  base.provision =
+      cluster::probe_uncapped_peak(base.cluster, base.calibration_duration) *
+      base.provision_fraction;
   std::printf("provision P_Max = %.0f W\n", base.provision.value());
 
   metrics::Table table({"manager", "excursions", "total (s)", "mean (s)",

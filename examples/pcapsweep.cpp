@@ -1,30 +1,27 @@
-// pcapsweep — sweep one experiment parameter and print a comparison table.
+// pcapsweep — run rows of config overrides over seeds and print mean ±
+// 95 % CI per row, relative to an unmanaged run of the same base.
 //
-//   ./build/examples/pcapsweep policy mpc hri lpc uniform
-//   ./build/examples/pcapsweep candidates 0 16 48 128
-//   ./build/examples/pcapsweep seed 1 2 3 4
-//   ./build/examples/pcapsweep tg 1 5 10 40
+//   pcapsweep --config examples/configs/paper_sweep.ini --seeds 42,1234
+//       manager.policy=mpc manager.policy=hri
+//   pcapsweep --seeds 1,2,3 manager.policy={mpc,hri},manager.tg_cycles={5,10}
 //
-// Optional leading flag: --config <file.ini> applies a base config first.
+// Each positional argument is one row: comma-separated section.key=value
+// overrides applied on top of the base INI (default: the paper scenario);
+// a row overriding experiment.provision_fraction gets that fraction of the
+// base's probe peak.
+// scripts/figures.sh holds the invocations behind EXPERIMENTS.md.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
-#include <vector>
+#include <exception>
 
-#include "cluster/config_loader.hpp"
-#include "cluster/scenario.hpp"
-#include "common/thread_pool.hpp"
-#include "metrics/report.hpp"
+#include "cluster/sweep.hpp"
 
 namespace {
 
-using namespace pcap;
-
 int usage() {
   std::fprintf(stderr,
-               "usage: pcapsweep [--config file.ini] "
-               "<policy|candidates|seed|tg> <value>...\n");
+               "usage: pcapsweep [--config file.ini] [--seeds a,b,...] "
+               "row...\n  row = section.key=value[,section.key=value...]\n");
   return 2;
 }
 
@@ -33,70 +30,27 @@ int usage() {
 int main(int argc, char** argv) {
   using namespace pcap;
 
+  cluster::SweepSpec spec;
   int arg = 1;
-  cluster::ExperimentConfig base = cluster::paper_scenario();
-  base.training = Seconds{3600.0};
-  base.measured = Seconds{3 * 3600.0};
-  if (arg < argc && std::strcmp(argv[arg], "--config") == 0) {
-    if (arg + 1 >= argc) return usage();
-    try {
-      base = cluster::experiment_from_file(argv[arg + 1]);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "pcapsweep: %s\n", e.what());
-      return 1;
+  try {
+    for (; arg < argc && std::strncmp(argv[arg], "--", 2) == 0; arg += 2) {
+      if (arg + 1 >= argc) return usage();
+      if (std::strcmp(argv[arg], "--config") == 0) {
+        spec.base = common::Config::load_file(argv[arg + 1]);
+      } else if (std::strcmp(argv[arg], "--seeds") == 0) {
+        spec.seeds = cluster::parse_seeds(argv[arg + 1]);
+      } else {
+        return usage();
+      }
     }
-    arg += 2;
+    if (arg >= argc) return usage();
+    spec.rows.assign(argv + arg, argv + argc);
+    common::ThreadPool pool;
+    std::fputs(cluster::format_sweep(cluster::run_sweep(spec, pool)).c_str(),
+               stdout);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pcapsweep: %s\n", e.what());
+    return 1;
   }
-  if (arg >= argc) return usage();
-  const std::string dimension = argv[arg++];
-  std::vector<std::string> values(argv + arg, argv + argc);
-  if (values.empty()) return usage();
-
-  // One shared provision so rows are comparable.
-  if (base.provision <= Watts{0.0}) {
-    const Watts peak =
-        cluster::probe_uncapped_peak(base.cluster, base.calibration_duration);
-    base.provision = peak * base.provision_fraction;
-  }
-  std::printf("sweeping '%s' over %zu values; P_Max = %.0f W\n\n",
-              dimension.c_str(), values.size(), base.provision.value());
-
-  std::vector<cluster::ExperimentConfig> configs;
-  for (const std::string& v : values) {
-    cluster::ExperimentConfig cfg = base;
-    if (dimension == "policy") {
-      cfg.manager = v;
-    } else if (dimension == "candidates") {
-      cfg.candidate_count = std::atoi(v.c_str());
-    } else if (dimension == "seed") {
-      cfg.cluster.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (dimension == "tg") {
-      cfg.capping.steady_green_cycles = std::atoll(v.c_str());
-    } else {
-      return usage();
-    }
-    configs.push_back(std::move(cfg));
-  }
-
-  std::vector<cluster::ExperimentResult> results(configs.size());
-  common::ThreadPool pool;
-  pool.parallel_for(configs.size(), [&](std::size_t i) {
-    results[i] = cluster::run_experiment(configs[i]);
-  });
-
-  metrics::Table table({dimension, "perf", "CPLJ", "P_max (W)", "dPxT",
-                        "yellow (s)", "red (s)"});
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    table.cell(values[i])
-        .cell(r.perf.performance, 4)
-        .cell_percent(r.perf.lossless_fraction)
-        .cell(r.p_max.value(), 0)
-        .cell(r.delta_pxt, 5)
-        .cell(r.yellow_cycles)
-        .cell(r.red_cycles);
-    table.end_row();
-  }
-  table.print();
   return 0;
 }

@@ -31,6 +31,7 @@ const std::set<std::string>& known_keys() {
       "manager.red_margin",
       "manager.yellow_margin",
       "manager.adjust_period_cycles",
+      "manager.thresholds_from_provision",
       "manager.feedback_gain",
       "experiment.training_h",
       "experiment.measured_h",
@@ -161,6 +162,8 @@ ExperimentConfig apply_config(ExperimentConfig base,
       cfg.get_double("manager.yellow_margin", out.yellow_margin);
   out.adjust_period_cycles = cfg.get_int("manager.adjust_period_cycles",
                                          out.adjust_period_cycles);
+  out.thresholds_from_provision = cfg.get_bool(
+      "manager.thresholds_from_provision", out.thresholds_from_provision);
   out.feedback_gain =
       cfg.get_double("manager.feedback_gain", out.feedback_gain);
 

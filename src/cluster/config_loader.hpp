@@ -25,6 +25,7 @@
 //   red_margin = 0.07
 //   yellow_margin = 0.16
 //   adjust_period_cycles = 3600 t_p
+//   thresholds_from_provision = false  derive P_L/P_H from the provision
 //   feedback_gain = 1.0
 //
 //   [experiment]

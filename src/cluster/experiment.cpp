@@ -172,27 +172,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // 3. Training phase (thresholds learn; no job/power metrics recorded).
   if (config.training > Seconds{0.0}) cl.run(config.training);
 
-  // 4. Measured phase. The manager's per-cycle counters accumulate over
-  // the whole run (training included), so snapshot them here: the
-  // measured-window totals below are registry deltas against this
-  // baseline. Managers that bind no metrics (none, baselines) simply have
-  // no series — counter_value() yields nullopt and the delta stays 0,
-  // matching their all-zero report columns.
-  const auto counter_at = [&cl](const std::string& key) -> std::uint64_t {
-    return cl.metrics().counter_value(key).value_or(0);
-  };
-  const std::uint64_t base_stale =
-      counter_at("pcap_manager_stale_node_cycles_total");
-  const std::uint64_t base_fallback =
-      counter_at("pcap_manager_fallback_node_cycles_total");
-  const std::uint64_t base_skipped =
-      counter_at("pcap_manager_skipped_targets_total");
-  const std::uint64_t base_retries = counter_at("pcap_manager_retries_total");
-  const std::uint64_t base_divergences =
-      counter_at("pcap_manager_divergences_total");
-  const std::uint64_t base_heals = counter_at("pcap_manager_heals_total");
-  const std::uint64_t base_adoptions =
-      counter_at("pcap_watchdog_adoptions_total");
+  // 4. Measured phase. Counters accumulate over the whole run (training
+  // included), so the result keeps each one's delta against this snapshot.
+  const std::map<std::string, std::uint64_t> base_counters =
+      cl.metrics().counter_values();
   cl.start_recording();
   cl.run(config.measured);
 
@@ -220,45 +203,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     util_sum += p.manager_utilization;
     transitions += p.transitions;
   }
-  // Telemetry-health and reconciliation totals come from the registry
-  // (delta over the measured window), not from re-summing CSV columns —
-  // the recorder and this result are two views over the same counters.
-  r.stale_node_cycles = static_cast<std::size_t>(
-      counter_at("pcap_manager_stale_node_cycles_total") - base_stale);
-  r.fallback_node_cycles = static_cast<std::size_t>(
-      counter_at("pcap_manager_fallback_node_cycles_total") - base_fallback);
-  r.skipped_targets = static_cast<std::size_t>(
-      counter_at("pcap_manager_skipped_targets_total") - base_skipped);
-  r.command_retries = static_cast<std::size_t>(
-      counter_at("pcap_manager_retries_total") - base_retries);
-  r.divergences = static_cast<std::size_t>(
-      counter_at("pcap_manager_divergences_total") - base_divergences);
-  r.heals =
-      static_cast<std::size_t>(counter_at("pcap_manager_heals_total") -
-                               base_heals);
-  r.samples_lost = cl.last_report().samples_lost;
-  r.samples_suppressed = cl.last_report().samples_suppressed;
-  r.samples_corrupted = cl.last_report().samples_corrupted;
-  r.crash_events = cl.last_report().crash_events;
-  r.recovery_events = cl.last_report().recovery_events;
-  r.commands_lost = cl.last_report().commands_lost;
-  r.commands_rebooting = cl.last_report().commands_rebooting;
-  r.transitions_failed = cl.last_report().transitions_failed;
-  r.transitions_partial = cl.last_report().transitions_partial;
-  r.reboot_events = cl.last_report().reboot_events;
-  r.commands_abandoned = cl.last_report().commands_abandoned;
-  r.commands_clamped = cl.last_report().commands_clamped;
-  r.ctrl_outages = cl.last_report().ctrl_outages;
-  r.ctrl_outage_cycles = cl.last_report().ctrl_outage_cycles;
-  r.ctrl_delayed_cycles = cl.last_report().ctrl_delayed_cycles;
-  r.ctrl_zone_outage_cycles = cl.last_report().ctrl_zone_outage_cycles;
-  r.predictor_overshoots = cl.last_report().predictor_overshoots;
-  r.predictor_misses = cl.last_report().predictor_misses;
-  r.predictive_elevations = cl.last_report().predictive_elevations;
-  r.watchdog_engagements = cl.watchdog().engagements();
-  r.watchdog_transitions = cl.watchdog().failsafe_transitions();
-  r.watchdog_adoptions = static_cast<std::size_t>(
-      counter_at("pcap_watchdog_adoptions_total") - base_adoptions);
+  for (const auto& [key, value] : cl.metrics().counter_values()) {
+    const auto base = base_counters.find(key);
+    r.counters[key] =
+        value - (base == base_counters.end() ? 0 : base->second);
+  }
   const std::size_t cycles = cl.recorder().size();
   r.mean_manager_utilization =
       cycles > 0 ? util_sum / static_cast<double>(cycles) : 0.0;

@@ -9,6 +9,7 @@
 //   "feedback"                  — Wang-style proportional controller
 #pragma once
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -114,47 +115,20 @@ struct ExperimentResult {
   double mean_manager_utilization = 0.0;
   std::size_t transitions = 0;  ///< DVFS actuations during measurement
 
-  // Telemetry-health accounting over the measured window.
-  std::size_t stale_node_cycles = 0;     ///< Σ per-cycle stale views
-  std::size_t fallback_node_cycles = 0;  ///< Σ per-cycle substituted views
-  std::size_t skipped_targets = 0;       ///< Σ targets the engine refused
-  // Actuation reconciliation over the measured window.
-  std::size_t command_retries = 0;       ///< Σ per-cycle re-sent commands
-  std::size_t divergences = 0;           ///< Σ per-cycle believed≠observed
-  std::size_t heals = 0;                 ///< Σ per-cycle healing commands
-  // Fault/transport ground truth (lifetime totals at the end of the run).
-  std::uint64_t samples_lost = 0;
-  std::uint64_t samples_suppressed = 0;
-  std::uint64_t samples_corrupted = 0;
-  std::uint64_t crash_events = 0;
-  std::uint64_t recovery_events = 0;
-  // Actuation-plane ground truth (lifetime totals at the end of the run).
-  std::uint64_t commands_lost = 0;
-  std::uint64_t commands_rebooting = 0;
-  std::uint64_t transitions_failed = 0;
-  std::uint64_t transitions_partial = 0;
-  std::uint64_t reboot_events = 0;
-  std::uint64_t commands_abandoned = 0;
-  std::uint64_t commands_clamped = 0;
-  // Control-plane fault ground truth (lifetime totals at the end of the
-  // run) and failsafe-watchdog activity.
-  std::uint64_t ctrl_outages = 0;
-  std::uint64_t ctrl_outage_cycles = 0;
-  std::uint64_t ctrl_delayed_cycles = 0;
-  std::uint64_t ctrl_zone_outage_cycles = 0;
-  // Predictor ground truth (lifetime totals at the end of the run;
-  // all-zero for managers without a forecaster).
-  std::uint64_t predictor_overshoots = 0;
-  std::uint64_t predictor_misses = 0;
-  std::uint64_t predictive_elevations = 0;
-  std::uint64_t watchdog_engagements = 0;
-  std::uint64_t watchdog_transitions = 0;
-  std::size_t watchdog_adoptions = 0;  ///< measured-window delta
+  /// Every registry counter's delta over the measured window, by series
+  /// key ("pcap_manager_retries_total", ...). Managers that bind no
+  /// metrics (none, the budget/feedback baselines) publish no manager or
+  /// fault series.
+  std::map<std::string, std::uint64_t> counters;
+  /// counters[key], or 0 when the series does not exist.
+  [[nodiscard]] std::uint64_t counter(const std::string& key) const {
+    const auto it = counters.find(key);
+    return it == counters.end() ? 0 : it->second;
+  }
 
   // Final registry exports (obs/registry.hpp): every series the engine,
   // cluster and manager published, including the cycle-phase span
-  // histograms. The telemetry/actuation totals above are themselves
-  // derived from this registry (counter deltas over the measured window).
+  // histograms, as lifetime values (training included).
   std::string metrics_prometheus;  ///< Prometheus text exposition
   std::string metrics_json;        ///< JSON snapshot
 };

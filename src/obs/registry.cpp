@@ -128,6 +128,12 @@ std::optional<std::uint64_t> Registry::counter_value(
   return std::nullopt;
 }
 
+std::map<std::string, std::uint64_t> Registry::counter_values() const {
+  std::map<std::string, std::uint64_t> out;
+  for (const CounterSeries& c : counters_) out.emplace(c.key, c.value);
+  return out;
+}
+
 std::string Registry::prometheus_text() const {
   std::ostringstream out;
   std::string last_family;

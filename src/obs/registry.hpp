@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -121,6 +122,9 @@ class Registry {
   /// find_counter + value in one step; nullopt when the series is absent.
   [[nodiscard]] std::optional<std::uint64_t> counter_value(
       const std::string& key) const;
+  /// Every counter series' current value by key (the experiment runner
+  /// diffs two of these to get measured-window deltas).
+  [[nodiscard]] std::map<std::string, std::uint64_t> counter_values() const;
 
   [[nodiscard]] std::size_t counter_count() const { return counters_.size(); }
   [[nodiscard]] std::size_t gauge_count() const { return gauges_.size(); }

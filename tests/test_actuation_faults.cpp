@@ -831,12 +831,14 @@ TEST(ActuationFaultTolerance, LossyScenarioStaysCappedAndCountsItsWounds) {
   const cluster::ExperimentResult r = cluster::run_experiment(cfg);
 
   EXPECT_LE(r.p_max, r.provision) << "capping lost control of the actuator";
-  EXPECT_GT(r.command_retries, 0u);
-  EXPECT_GT(r.divergences, 0u);
-  EXPECT_GT(r.heals, 0u);
-  EXPECT_GT(r.commands_lost, 0u);
-  EXPECT_GT(r.reboot_events, 0u);
-  EXPECT_GT(r.transitions_partial + r.transitions_failed, 0u);
+  EXPECT_GT(r.counter("pcap_manager_retries_total"), 0u);
+  EXPECT_GT(r.counter("pcap_manager_divergences_total"), 0u);
+  EXPECT_GT(r.counter("pcap_manager_heals_total"), 0u);
+  EXPECT_GT(r.counter("pcap_actuation_commands_lost_total"), 0u);
+  EXPECT_GT(r.counter("pcap_actuation_reboot_events_total"), 0u);
+  EXPECT_GT(r.counter("pcap_actuation_transitions_partial_total") +
+                r.counter("pcap_actuation_transitions_failed_total"),
+            0u);
   // Jobs kept finishing: reconciliation must not starve the cluster by
   // retrying throttles forever.
   EXPECT_GT(r.perf.finished_jobs, 0u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "cluster/scenario.hpp"
 
 namespace pcap::cluster {
@@ -48,13 +50,15 @@ TEST(ConfigLoader, ManagerSection) {
       "dynamic_candidates = true\n"
       "tg_cycles = 20\n"
       "red_margin = 0.05\n"
-      "yellow_margin = 0.12\n");
+      "yellow_margin = 0.12\n"
+      "thresholds_from_provision = true\n");
   EXPECT_EQ(cfg.manager, "hri-c");
   EXPECT_EQ(cfg.candidate_count, 32);
   EXPECT_TRUE(cfg.dynamic_candidates);
   EXPECT_EQ(cfg.capping.steady_green_cycles, 20);
   EXPECT_DOUBLE_EQ(cfg.red_margin, 0.05);
   EXPECT_DOUBLE_EQ(cfg.yellow_margin, 0.12);
+  EXPECT_TRUE(cfg.thresholds_from_provision);
 }
 
 TEST(ConfigLoader, ExperimentSection) {
@@ -232,6 +236,38 @@ TEST(ConfigLoader, ControlAndWatchdogValidation) {
                std::runtime_error);
   EXPECT_THROW(load("[watchdog]\ntimeout_cycles = banana\n"),
                std::runtime_error);
+}
+
+// Each fault INI under examples/configs is the same run as its scenario
+// builder: the sweep-engine tables (pcapsweep --config <ini>) stand in for
+// the builder-driven fault examples, so the two must agree bit for bit.
+void expect_same_run(const char* ini, const ExperimentConfig& builder) {
+  SCOPED_TRACE(ini);
+  const ExperimentConfig loaded = experiment_from_file(
+      std::string(PCAP_SOURCE_DIR) + "/examples/configs/" + ini);
+  const ExperimentResult a = run_experiment(loaded);
+  const ExperimentResult b = run_experiment(builder);
+  const auto bits = [](double x) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &x, sizeof(u));
+    return u;
+  };
+  EXPECT_EQ(a.candidate_count, b.candidate_count);
+  EXPECT_EQ(bits(a.provision.value()), bits(b.provision.value()));
+  EXPECT_EQ(bits(a.p_max.value()), bits(b.p_max.value()));
+  EXPECT_EQ(bits(a.delta_pxt), bits(b.delta_pxt));
+  EXPECT_EQ(bits(a.perf.performance), bits(b.perf.performance));
+  EXPECT_EQ(a.green_cycles, b.green_cycles);
+  EXPECT_EQ(a.yellow_cycles, b.yellow_cycles);
+  EXPECT_EQ(a.red_cycles, b.red_cycles);
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_FALSE(a.counters.empty());
+}
+
+TEST(ConfigLoader, FaultInisReproduceTheirScenarioBuilders) {
+  expect_same_run("faulty_telemetry.ini", faulty_telemetry_scenario(23));
+  expect_same_run("lossy_actuation.ini", lossy_actuation_scenario(31));
+  expect_same_run("controller_outage.ini", controller_outage_scenario(47));
 }
 
 }  // namespace

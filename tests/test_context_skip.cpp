@@ -5,7 +5,8 @@
 // end exactly where the build would have left it. The oracle builds on
 // every cycle the collect gate opens — the behaviour before the predicate
 // existed — and every run below is compared with it bit for bit: the
-// per-cycle ManagerReport, final node levels, the Prometheus export with
+// per-cycle ManagerReport state and every registry counter after each
+// cycle, final node levels, the Prometheus export with
 // wall-clock spans and the skip counter itself stripped, and warm-restart
 // images taken along the way. The flat oracle drives one CappingManager
 // through open_cycle/close_cycle, widening build_context to the gate; the
@@ -35,46 +36,36 @@ using power::CappingManager;
 using power::ManagerReport;
 using power::PowerState;
 
-/// Every ManagerReport field; doubles in hex so equality is bitwise.
+/// The ManagerReport fields no registry counter carries; doubles in hex so
+/// equality is bitwise. Every counted field (targets, stale views, acks,
+/// fault and predictor totals, ...) is compared through counters() below.
 std::string describe(const ManagerReport& r) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof(buf),
-      "s=%d m=%a pl=%a ph=%a tr=%d tg=%zu tx=%zu u=%a st=%zu mi=%zu fb=%zu "
-      "rj=%zu sk=%zu df=%zu ak=%zu rt=%zu dv=%zu hl=%zu fl=%zu un=%zu "
-      "sl=%llu ss=%llu sc=%llu ce=%llu re=%llu ad=%zu cl=%llu cr=%llu "
-      "tf=%llu tp=%llu rb=%llu ab=%llu cc=%llu hf=%d f=%a fe=%a fs=%d "
-      "po=%llu pm=%llu pe=%llu cd=%d zd=%zu wa=%zu co=%llu coc=%llu "
-      "cdc=%llu czc=%llu",
-      static_cast<int>(r.state), r.measured.value(), r.p_low.value(),
-      r.p_high.value(), r.training ? 1 : 0, r.targets, r.transitions,
-      r.manager_utilization, r.stale_nodes, r.missing_nodes,
-      r.fallback_nodes, r.rejected_samples, r.skipped_targets,
-      r.deferred_targets, r.acks, r.retries, r.divergences, r.heals,
-      r.commands_in_flight, r.unresponsive_nodes,
-      static_cast<unsigned long long>(r.samples_lost),
-      static_cast<unsigned long long>(r.samples_suppressed),
-      static_cast<unsigned long long>(r.samples_corrupted),
-      static_cast<unsigned long long>(r.crash_events),
-      static_cast<unsigned long long>(r.recovery_events), r.agents_down,
-      static_cast<unsigned long long>(r.commands_lost),
-      static_cast<unsigned long long>(r.commands_rebooting),
-      static_cast<unsigned long long>(r.transitions_failed),
-      static_cast<unsigned long long>(r.transitions_partial),
-      static_cast<unsigned long long>(r.reboot_events),
-      static_cast<unsigned long long>(r.commands_abandoned),
-      static_cast<unsigned long long>(r.commands_clamped),
-      r.has_forecast ? 1 : 0, r.forecast.value(), r.forecast_abs_error,
-      r.forecast_scored ? 1 : 0,
-      static_cast<unsigned long long>(r.predictor_overshoots),
-      static_cast<unsigned long long>(r.predictor_misses),
-      static_cast<unsigned long long>(r.predictive_elevations),
-      r.controller_down ? 1 : 0, r.zones_down, r.watchdog_adoptions,
-      static_cast<unsigned long long>(r.ctrl_outages),
-      static_cast<unsigned long long>(r.ctrl_outage_cycles),
-      static_cast<unsigned long long>(r.ctrl_delayed_cycles),
-      static_cast<unsigned long long>(r.ctrl_zone_outage_cycles));
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "s=%d m=%a pl=%a ph=%a tr=%d u=%a fl=%zu ad=%zu hf=%d f=%a "
+                "fe=%a fs=%d cd=%d zd=%zu",
+                static_cast<int>(r.state), r.measured.value(),
+                r.p_low.value(), r.p_high.value(), r.training ? 1 : 0,
+                r.manager_utilization, r.commands_in_flight, r.agents_down,
+                r.has_forecast ? 1 : 0, r.forecast.value(),
+                r.forecast_abs_error, r.forecast_scored ? 1 : 0,
+                r.controller_down ? 1 : 0, r.zones_down);
   return buf;
+}
+
+/// Every registry counter after a cycle, minus the ones that legitimately
+/// differ from the oracle: the skip counter and, for the tree, the
+/// per-zone series (zone activity differs by design).
+std::string counters(const obs::Registry& reg, bool zone_series) {
+  std::string out;
+  for (const auto& [key, value] : reg.counter_values()) {
+    if (key.find("context_skips") != std::string::npos ||
+        (zone_series && key.rfind("pcap_zone_", 0) == 0)) {
+      continue;
+    }
+    out += " " + key + "=" + std::to_string(value);
+  }
+  return out;
 }
 
 /// Drops the series that legitimately differ from the oracle: wall-clock
@@ -392,7 +383,10 @@ class Probe final : public power::PowerManagerBase {
   void set_thread_pool(common::ThreadPool* pool) override {
     inner_->set_thread_pool(pool);
   }
-  void bind_metrics(obs::Registry& reg) override { inner_->bind_metrics(reg); }
+  void bind_metrics(obs::Registry& reg) override {
+    reg_ = &reg;
+    inner_->bind_metrics(reg);
+  }
   void set_watchdog(hw::FailsafeWatchdog* wd) override {
     inner_->set_watchdog(wd);
   }
@@ -416,11 +410,15 @@ class Probe final : public power::PowerManagerBase {
     }
     std::string line = describe(r);
     const power::PowerManagerBase* inner = inner_.get();
+    bool zoned = true;
     if (const auto* tree = dynamic_cast<const power::ZoneTreeManager*>(inner)) {
       append_zones(*tree, line);
     } else if (const auto* ref = dynamic_cast<const ReferenceTree*>(inner)) {
       append_zones(*ref, line);
+    } else {
+      zoned = false;
     }
+    line += counters(*reg_, zoned);
     out_.trace.push_back(line);
     if (!r.training && r.state == PowerState::kGreen &&
         last_state_ != PowerState::kGreen) {
@@ -457,6 +455,7 @@ class Probe final : public power::PowerManagerBase {
   std::unique_ptr<power::PowerManagerBase> inner_;
   bool oracle_;
   Outcome& out_;
+  const obs::Registry* reg_ = nullptr;
   PowerState last_state_ = PowerState::kGreen;
   std::uint64_t cycles_ = 0;
 };

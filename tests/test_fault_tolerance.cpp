@@ -172,15 +172,19 @@ TEST(FaultTolerance, FaultyScenarioStaysCappedAndCountsItsWounds) {
   const cluster::ExperimentResult r = cluster::run_experiment(cfg);
 
   EXPECT_LE(r.p_max, r.provision) << "capping lost control under faults";
-  EXPECT_GT(r.stale_node_cycles, 0u);
-  EXPECT_GT(r.fallback_node_cycles, 0u);
-  EXPECT_GE(r.fallback_node_cycles, r.stale_node_cycles);
-  EXPECT_GT(r.skipped_targets, 0u);
-  EXPECT_GT(r.samples_lost, 0u);
-  EXPECT_GT(r.samples_suppressed, 0u);
-  EXPECT_GT(r.samples_corrupted, 0u);
-  EXPECT_GE(r.crash_events, 1u);
-  EXPECT_GE(r.recovery_events, 1u);
+  const std::uint64_t stale =
+      r.counter("pcap_manager_stale_node_cycles_total");
+  const std::uint64_t fallback =
+      r.counter("pcap_manager_fallback_node_cycles_total");
+  EXPECT_GT(stale, 0u);
+  EXPECT_GT(fallback, 0u);
+  EXPECT_GE(fallback, stale);
+  EXPECT_GT(r.counter("pcap_manager_skipped_targets_total"), 0u);
+  EXPECT_GT(r.counter("pcap_telemetry_samples_lost_total"), 0u);
+  EXPECT_GT(r.counter("pcap_telemetry_samples_suppressed_total"), 0u);
+  EXPECT_GT(r.counter("pcap_telemetry_samples_corrupted_total"), 0u);
+  EXPECT_GE(r.counter("pcap_telemetry_crash_events_total"), 1u);
+  EXPECT_GE(r.counter("pcap_telemetry_recovery_events_total"), 1u);
   // Jobs kept finishing: a blind-but-careful manager must not starve the
   // cluster by capping everything to the floor forever.
   EXPECT_GT(r.perf.finished_jobs, 0u);
