@@ -128,8 +128,9 @@ ExperimentConfig apply_config(ExperimentConfig base,
       Seconds{cfg.get_double("cluster.tick_s", out.cluster.tick.value())};
   out.cluster.control_period = Seconds{cfg.get_double(
       "cluster.control_period_s", out.cluster.control_period.value())};
-  const std::string cls =
-      common::to_lower(cfg.get_string("cluster.npb_class", "d"));
+  const std::string cls = common::to_lower(cfg.get_string(
+      "cluster.npb_class",
+      out.cluster.npb_class == workload::NpbClass::kC ? "c" : "d"));
   if (cls == "c") {
     out.cluster.npb_class = workload::NpbClass::kC;
   } else if (cls == "d") {

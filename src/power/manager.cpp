@@ -1,27 +1,11 @@
 #include "power/manager.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "power/checkpoint.hpp"
 
 namespace pcap::power {
-
-namespace {
-
-/// Sanity bound for a reported power estimate. Formula-(1) estimates can
-/// legitimately sit a little above the table entries (interpolation,
-/// utilisation overshoot), so allow headroom over the board's theoretical
-/// ceiling; anything negative, non-finite, or far beyond it is a torn or
-/// byte-swapped counter, not a measurement.
-bool plausible_sample(const telemetry::NodeSample& s, const hw::Node& node) {
-  const double w = s.estimated_power.value();
-  return std::isfinite(w) && w >= 0.0 &&
-         s.estimated_power <= node.spec().power_model.theoretical_max() * 1.5;
-}
-
-}  // namespace
 
 CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
                                common::Rng rng)
@@ -345,7 +329,7 @@ void CappingManager::build_context_with(
   ctx.p_low = learner_.p_low();
 
   // Phase 1 — sharded view assembly. One ViewRecord per candidate slot,
-  // from strictly per-node inputs: this slot's telemetry history, this
+  // from strictly per-node inputs: this slot's telemetry record, this
   // node's spec/power model (its memoisation caches are touched by
   // exactly one worker), and this node's reconciler entries (read-only
   // here — unresponsive(id) never changes while the shards run, because
@@ -381,25 +365,15 @@ void CappingManager::fill_view_record(std::size_t slot,
                                       std::uint64_t max_age) const {
   ViewRecord& vr = view_records_[slot];
   const hw::NodeId id = candidates[slot];
-  const auto& hist = collector_.history_at_slot(slot);
+  const telemetry::UsableSample usable = collector_.usable_at_slot(slot);
   const hw::Node& node = nodes[id];
   const bool unresponsive = rec != nullptr && rec->unresponsive(id);
-  vr.rejected = 0;
+  vr.rejected = usable.rejected;
   vr.substituted = false;
 
-  // Walk the history newest-to-oldest for a sample that passes the sanity
-  // check; corrupted deliveries are skipped, not trusted.
-  std::size_t chosen = 0;
-  bool found = false;
-  for (std::size_t i = hist.size(); i-- > 0;) {
-    if (plausible_sample(hist[i], node)) {
-      chosen = i;
-      found = true;
-      break;
-    }
-    ++vr.rejected;
-  }
-  if (!found) {
+  // The newest sample that passed the collector's sanity check; corrupted
+  // deliveries are counted, not trusted.
+  if (usable.sample == nullptr) {
     // Never sampled, or nothing in the window survived the sanity check.
     // With no level/busy state to act on, the node cannot be a target;
     // the facility meter still sees its real draw, so the thresholds
@@ -409,7 +383,7 @@ void CappingManager::fill_view_record(std::size_t slot,
     return;
   }
 
-  const telemetry::NodeSample& latest = hist[chosen];
+  const telemetry::NodeSample& latest = *usable.sample;
   NodeView nv;
   nv.id = id;
   nv.level = latest.level;
@@ -431,18 +405,13 @@ void CappingManager::fill_view_record(std::size_t slot,
     // its last known draw. Overstating keeps the job totals — and thus
     // how aggressively Algorithm 1 sheds — on the safe side.
     nv.power *= 1.0 + params_.stale_power_margin;
-  } else if (chosen + 1 != hist.size()) {
-    // Fresh enough, but only after discarding newer corrupt deliveries:
-    // still a substituted estimate.
-    vr.substituted = true;
+  } else {
+    // Fresh enough; if newer corrupt deliveries were discarded to get
+    // here, still a substituted estimate.
+    vr.substituted = usable.substituted;
   }
-  for (std::size_t i = chosen; i-- > 0;) {
-    if (plausible_sample(hist[i], node)) {
-      nv.power_prev = hist[i].estimated_power;
-      nv.has_prev = true;
-      break;
-    }
-  }
+  nv.has_prev = usable.has_prev;
+  nv.power_prev = usable.prev_power;
   // A node already at the ladder floor has no level below it:
   // estimated_power_at(level - 1) would index off the bottom of the DVFS
   // table. Clamp the hypothetical to the current draw so saving_one_level
@@ -963,10 +932,10 @@ ShardCheckpoint CappingManager::checkpoint() const {
     // newest sample's stamp — the image applies exactly that, so a warm
     // restart reads what an every-cycle build would have written.
     for (ReconcilerSlotCheckpoint& sc : cp.reconciler.slots) {
-      const std::optional<telemetry::SampleHistoryView> hist =
-          collector_.history(sc.node);
-      if (!sc.has_believed || !hist || hist->empty()) continue;
-      sc.observed_cycle = std::max(sc.observed_cycle, hist->back().cycle);
+      const std::optional<telemetry::NodeSample> newest =
+          collector_.latest(sc.node);
+      if (!sc.has_believed || !newest) continue;
+      sc.observed_cycle = std::max(sc.observed_cycle, newest->cycle);
     }
   }
   cp.collector_cycles = collector_.cycle_count();

@@ -515,7 +515,7 @@ class CappingManager final : public PowerManagerBase {
   /// nullptr: pure read-only assembly for benchmarks.
   ///
   /// Two-phase: a sharded pass builds one ViewRecord per candidate slot
-  /// from strictly per-node inputs (telemetry history, node table,
+  /// from strictly per-node inputs (telemetry record, node table,
   /// per-node reconciler state — all read-only there), then a serial
   /// merge in candidate order applies everything order-sensitive
   /// (reconciler mutation, counters, safe-side pending accounting). The

@@ -423,7 +423,7 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
           if (zone.skipped) {
             // The skipped build's context would hold every member, clean
             // and at its newest sample, in slot order: the same power fold
-            // over the histories. Capacity is left as the last build set
+            // over the records. Capacity is left as the last build set
             // it — a yellow-only hint, and a green cycle never reads it.
             zone.shard->skip_context_phase();
             zone.power = zone.shard->collector().estimated_candidate_power();

@@ -1,6 +1,7 @@
 #include "telemetry/collector.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace pcap::telemetry {
@@ -14,7 +15,6 @@ Collector::Collector(CollectorParams params, common::Rng rng)
     throw std::invalid_argument(
         "Collector: history must hold at least two samples");
   }
-  hist_depth_ = static_cast<std::uint32_t>(params_.history_depth);
   if (params_.transport.loss_rate < 0.0 ||
       params_.transport.loss_rate >= 1.0) {
     throw std::invalid_argument("Collector: loss rate must be in [0, 1)");
@@ -29,18 +29,15 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   std::sort(next.begin(), next.end());
   next.erase(std::unique(next.begin(), next.end()), next.end());
 
-  // Build the new slot array (and re-striped history arena) up front, so
-  // the sweep itself never mutates any shared structure (a parallel sweep
-  // only touches distinct pre-existing slots). Retained nodes carry their
-  // state (agent RNG, history, in-flight reports) over — their history
-  // column moves from the old arena stripe-by-stripe and their report
-  // ring to their new slot's ring; dropped nodes lose theirs.
+  // Build the new slot arrays up front, so the sweep itself never mutates
+  // any shared structure (a parallel sweep only touches distinct
+  // pre-existing slots). Retained nodes carry their state (agent RNG,
+  // record, in-flight reports) over to their new slot; dropped nodes lose
+  // theirs.
   std::vector<Monitored> next_slots;
   next_slots.reserve(next.size());
-  const std::size_t depth = params_.history_depth;
-  std::vector<NodeSample> next_store(depth * next.size());
-  std::vector<std::uint32_t> next_head(next.size(), 0);
-  std::vector<std::uint32_t> next_size(next.size(), 0);
+  std::vector<Record> next_records(next.size());
+  std::vector<NodeSample> next_stash(next.size());
   common::RingArena<InFlight> next_in_flight(
       next.size(), static_cast<std::uint32_t>(params_.transport.delay_cycles));
   for (std::size_t s = 0; s < next.size(); ++s) {
@@ -48,12 +45,8 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
     const std::uint32_t old_slot = slot_of(id);
     if (old_slot != kNoSlot) {
       next_slots.push_back(std::move(slots_[old_slot]));
-      for (std::size_t d = 0; d < depth; ++d) {
-        next_store[d * next.size() + s] =
-            hist_store_[d * hist_stride_ + old_slot];
-      }
-      next_head[s] = hist_head_[old_slot];
-      next_size[s] = hist_size_[old_slot];
+      next_records[s] = records_[old_slot];
+      next_stash[s] = usable_stash_[old_slot];
       next_in_flight.adopt(s, in_flight_, old_slot);
     } else {
       next_slots.push_back(
@@ -63,11 +56,9 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   }
   candidates_ = std::move(next);
   slots_ = std::move(next_slots);
-  hist_store_ = std::move(next_store);
-  hist_head_ = std::move(next_head);
-  hist_size_ = std::move(next_size);
+  records_ = std::move(next_records);
+  usable_stash_ = std::move(next_stash);
   in_flight_ = std::move(next_in_flight);
-  hist_stride_ = candidates_.size();
   last_sweep_quiet_ = false;
   if (params_.faults.enabled()) fault_injector_.ensure_nodes(candidates_);
 
@@ -81,10 +72,26 @@ void Collector::set_candidate_set(const std::vector<hw::NodeId>& nodes) {
   }
 }
 
-bool Collector::deliver(std::size_t slot, const NodeSample& s) {
-  const bool same_level = hist_size_[slot] > 0 &&
-                          history_at_slot(slot).back().level == s.level;
-  push_history(slot, s);
+bool Collector::deliver(std::size_t slot, const NodeSample& s,
+                        const hw::Node& node) {
+  Record& r = records_[slot];
+  const bool same_level = r.delivered > 0 && r.latest.level == s.level;
+  const bool latest_usable = r.delivered > 0 && r.usable_seq == r.delivered;
+  // Formula-(1) estimates can legitimately sit a little above the table
+  // entries (interpolation, utilisation overshoot), hence the headroom.
+  const double w = s.estimated_power.value();
+  if (std::isfinite(w) && w >= 0.0 &&
+      s.estimated_power <= node.spec().power_model.theoretical_max() * 1.5) {
+    r.prev_usable_power = latest_usable
+                              ? r.latest.estimated_power
+                              : usable_stash_[slot].estimated_power;
+    r.prev_usable_seq = r.usable_seq;
+    r.usable_seq = r.delivered + 1;
+  } else if (latest_usable) {
+    usable_stash_[slot] = r.latest;
+  }
+  r.latest = s;
+  ++r.delivered;
   return same_level;
 }
 
@@ -106,7 +113,7 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
   while (in_flight_.size(slot) != 0 &&
          in_flight_.front(slot).sample.cycle + delay <= cycle_counter_) {
     const InFlight& arrived = in_flight_.front(slot);
-    quiet = deliver(slot, arrived.sample) && !arrived.corrupted && quiet;
+    quiet = deliver(slot, arrived.sample, node) && !arrived.corrupted && quiet;
     ++deliveries;
     in_flight_.pop_front(slot);
     ++tally.delivered;
@@ -117,7 +124,7 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
 
   // Fault disposition first: a report that never leaves the node sees no
   // transport at all. Corruption mangles the sample in place and lets it
-  // travel — the consumer, not the transport, has to notice. Anything
+  // travel — deliver(), not the transport, has to notice. Anything
   // already in flight when a fault silences the node still arrived above
   // (it was sent before the fault).
   FaultInjector::Outcome fault;
@@ -129,7 +136,7 @@ void Collector::collect_one(std::size_t slot, const hw::Node& node,
   } else if (tp.loss_rate > 0.0 && m.transport_rng.bernoulli(tp.loss_rate)) {
     ++tally.lost;
   } else if (delay == 0) {
-    quiet = deliver(slot, sample) && !fault.corrupted && quiet;
+    quiet = deliver(slot, sample, node) && !fault.corrupted && quiet;
     ++deliveries;
     ++tally.delivered;
   } else {
@@ -185,28 +192,32 @@ void Collector::skip_cycle(std::size_t monitored_jobs) {
 
 std::optional<NodeSample> Collector::latest(hw::NodeId id) const {
   const std::uint32_t slot = slot_of(id);
-  if (slot == kNoSlot || hist_size_[slot] == 0) return std::nullopt;
-  return history_at_slot(slot).back();
+  if (slot == kNoSlot || records_[slot].delivered == 0) return std::nullopt;
+  return records_[slot].latest;
 }
 
-std::optional<NodeSample> Collector::previous(hw::NodeId id) const {
-  const std::uint32_t slot = slot_of(id);
-  if (slot == kNoSlot || hist_size_[slot] < 2) return std::nullopt;
-  const SampleHistoryView h = history_at_slot(slot);
-  return h[h.size() - 2];
-}
-
-std::optional<SampleHistoryView> Collector::history(hw::NodeId id) const {
-  const std::uint32_t slot = slot_of(id);
-  if (slot == kNoSlot) return std::nullopt;
-  return history_at_slot(slot);
+UsableSample Collector::usable_at_slot(std::size_t slot) const {
+  const Record& r = records_[slot];
+  // Deliveries numbered above `expired` are the last history_depth ones.
+  const std::uint64_t expired =
+      r.delivered - std::min<std::uint64_t>(r.delivered, params_.history_depth);
+  UsableSample u;
+  if (r.usable_seq <= expired) {
+    u.rejected = static_cast<std::uint32_t>(r.delivered - expired);
+    return u;
+  }
+  u.sample = r.usable_seq == r.delivered ? &r.latest : &usable_stash_[slot];
+  u.rejected = static_cast<std::uint32_t>(r.delivered - r.usable_seq);
+  u.substituted = r.usable_seq != r.delivered;
+  u.has_prev = r.prev_usable_seq > expired;
+  if (u.has_prev) u.prev_power = r.prev_usable_power;
+  return u;
 }
 
 Watts Collector::estimated_candidate_power() const {
   Watts total{0.0};
-  for (std::size_t slot = 0; slot < candidates_.size(); ++slot) {
-    if (hist_size_[slot] == 0) continue;
-    total += history_at_slot(slot).back().estimated_power;
+  for (const Record& r : records_) {
+    if (r.delivered != 0) total += r.latest.estimated_power;
   }
   return total;
 }

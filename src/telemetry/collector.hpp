@@ -1,9 +1,11 @@
 // Global telemetry collector.
 //
-// Owns one profiling agent per candidate node and keeps a short history of
-// samples per node so the manager can compute both state-based quantities
-// (current estimated power) and change-based ones (ΔP between the last two
-// samples, §IV.B). The candidate set can change at runtime (§II.A: the set
+// Owns one profiling agent per candidate node and keeps one compact record
+// per node: the newest delivery, the newest *usable* delivery (one that
+// passed the sanity check at delivery) and the usable power before it, so
+// the manager can compute both state-based quantities (current estimated
+// power) and change-based ones (ΔP between the last two usable samples,
+// §IV.B) in O(1). The candidate set can change at runtime (§II.A: the set
 // "may vary during the execution of the system").
 #pragma once
 
@@ -32,6 +34,8 @@ struct TransportParams {
 
 struct CollectorParams {
   AgentParams agent;
+  /// Window, in deliveries, within which a usable sample still counts:
+  /// older than the last history_depth deliveries of a slot, it is gone.
   std::size_t history_depth = 8;
   ManagementCostParams cost;
   TransportParams transport;
@@ -48,40 +52,20 @@ struct CollectorParams {
   std::size_t parallel_grain = 256;
 };
 
-/// Read-only window over one node's sample history. Histories live in a
-/// single depth-striped arena (`store[d * candidate_count + slot]`), so a
-/// collect cycle writes one contiguous stripe instead of scattering into
-/// per-node ring buffers; the view re-presents a slot's strided column
-/// with the ring-buffer indexing consumers already use (oldest-first
-/// operator[], front/back).
-class SampleHistoryView {
- public:
-  SampleHistoryView() = default;
-  SampleHistoryView(const NodeSample* base, std::size_t stride,
-                    std::uint32_t head, std::uint32_t size,
-                    std::uint32_t depth)
-      : base_(base), stride_(stride), head_(head), size_(size),
-        depth_(depth) {}
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t capacity() const { return depth_; }
-  /// k-th sample, oldest first (k < size()).
-  [[nodiscard]] const NodeSample& operator[](std::size_t k) const {
-    std::uint32_t stripe =
-        head_ + depth_ - size_ + static_cast<std::uint32_t>(k);
-    if (stripe >= depth_) stripe -= depth_;
-    return base_[static_cast<std::size_t>(stripe) * stride_];
-  }
-  [[nodiscard]] const NodeSample& front() const { return (*this)[0]; }
-  [[nodiscard]] const NodeSample& back() const { return (*this)[size_ - 1]; }
-
- private:
-  const NodeSample* base_ = nullptr;
-  std::size_t stride_ = 1;
-  std::uint32_t head_ = 0;
-  std::uint32_t size_ = 0;
-  std::uint32_t depth_ = 1;
+/// What Algorithm 2 may read of one candidate: the newest usable delivery
+/// among its last history_depth deliveries, and the usable one before it.
+/// A delivery is usable when its power estimate is finite, non-negative
+/// and at most 1.5 x the board's theoretical maximum; anything else is a
+/// torn or byte-swapped counter, not a measurement. `sample` points into
+/// the collector and is valid until its next collect() or
+/// set_candidate_set().
+struct UsableSample {
+  const NodeSample* sample = nullptr;  ///< nullptr: none usable in the window
+  /// Unusable deliveries newer than `sample` (the whole window when none).
+  std::uint32_t rejected = 0;
+  bool substituted = false;  ///< the newest delivery itself was unusable
+  bool has_prev = false;  ///< the usable delivery before it is in the window
+  Watts prev_power{0.0};  ///< its power estimate (valid when has_prev)
 };
 
 class Collector {
@@ -89,8 +73,8 @@ class Collector {
   Collector(CollectorParams params, common::Rng rng);
 
   /// Replaces the candidate set; agents for new nodes are created,
-  /// agents (and histories, and reports still in flight) for removed
-  /// nodes are dropped. A re-added node starts with an empty queue.
+  /// agents (and records, and reports still in flight) for removed
+  /// nodes are dropped. A re-added node starts empty.
   void set_candidate_set(const std::vector<hw::NodeId>& nodes);
   [[nodiscard]] const std::vector<hw::NodeId>& candidate_set() const {
     return candidates_;
@@ -100,7 +84,7 @@ class Collector {
   }
 
   /// Samples every candidate node present in `nodes` (indexed by id) and
-  /// appends to histories. Also records the cost-model accounting for this
+  /// delivers into records. Also records the cost-model accounting for this
   /// cycle given the number of currently monitored jobs.
   void collect(const std::vector<hw::Node>& nodes, Seconds now,
                std::size_t monitored_jobs);
@@ -110,25 +94,21 @@ class Collector {
   /// deadlines keep counting (they are denominated in cycles), but no
   /// agent samples, no transport draws, no fault-process steps happen.
   /// In-flight delayed reports stay queued; the manager only reads
-  /// histories on cycles it collected, so deferring their delivery to the
+  /// records on cycles it collected, so deferring their delivery to the
   /// next real sweep is invisible. Cost accounting records a sweep of
   /// zero nodes (the manager woke up, decoded nothing).
   void skip_cycle(std::size_t monitored_jobs);
 
-  /// Latest sample of a node; nullopt if never sampled / not a candidate.
+  /// Newest delivery of a node, usable or not; nullopt if never sampled /
+  /// not a candidate.
   [[nodiscard]] std::optional<NodeSample> latest(hw::NodeId id) const;
-  /// Sample before the latest one (for rate-of-change policies).
-  [[nodiscard]] std::optional<NodeSample> previous(hw::NodeId id) const;
-  /// A node's whole sample history in one lookup (nullopt if not a
-  /// candidate) — the manager's context builder reads latest and previous
-  /// together, and one slot probe beats two.
-  [[nodiscard]] std::optional<SampleHistoryView> history(hw::NodeId id) const;
-  /// History of candidate_set()[slot]. For sweeps that already walk the
-  /// candidate array in order: indexes straight into the arena, no
-  /// id->slot translation at all.
-  [[nodiscard]] SampleHistoryView history_at_slot(std::size_t slot) const {
-    return SampleHistoryView(hist_store_.data() + slot, hist_stride_,
-                             hist_head_[slot], hist_size_[slot], hist_depth_);
+  /// The usable view of candidate_set()[slot], in O(1) from the slot's
+  /// record. For sweeps that already walk the candidate array in order:
+  /// no id->slot translation at all.
+  [[nodiscard]] UsableSample usable_at_slot(std::size_t slot) const;
+  /// Reports delivered to candidate_set()[slot] since it joined the set.
+  [[nodiscard]] std::uint64_t deliveries_at_slot(std::size_t slot) const {
+    return records_[slot].delivered;
   }
   /// Largest candidate id (0 when the set is empty). The candidate array
   /// is kept sorted, so consumers validate a whole sweep against a node
@@ -172,7 +152,7 @@ class Collector {
   [[nodiscard]] std::size_t in_flight_capacity() const {
     return in_flight_.capacity();
   }
-  /// Reports delivered into histories so far.
+  /// Reports delivered into records so far.
   [[nodiscard]] std::uint64_t samples_delivered() const {
     return samples_delivered_;
   }
@@ -210,9 +190,9 @@ class Collector {
     NodeSample sample;
     bool corrupted;
   };
-  /// The sweep-local state of one candidate (histories and in-flight
-  /// reports live in shared arenas, see hist_store_ and in_flight_). Two
-  /// workers sampling different candidates share no state. The transport
+  /// The sweep-local state of one candidate (records and in-flight reports
+  /// live in shared arrays, see records_ and in_flight_). Two workers
+  /// sampling different candidates share no state. The transport
   /// RNG is per node: report loss is drawn per candidate, not from one
   /// shared sequence, which is what makes the sweep order-independent.
   struct Monitored {
@@ -234,18 +214,26 @@ class Collector {
   void collect_one(std::size_t slot, const hw::Node& node, Seconds now,
                    SweepTally& tally);
 
-  /// Delivers a sample into slot's history. Returns whether the slot
-  /// already held a sample at the same DVFS level.
-  bool deliver(std::size_t slot, const NodeSample& s);
+  /// One candidate's telemetry, judged at delivery. Deliveries to a slot
+  /// are numbered 1, 2, ...; the sequence numbers place the newest usable
+  /// delivery and the usable one before it against the last
+  /// history_depth deliveries, so usable_at_slot() reproduces a walk over
+  /// that window without keeping it. The newest usable delivery is
+  /// `latest` itself while usable_seq == delivered (the common case, so a
+  /// delivery writes one sample); otherwise it is the slot's entry in
+  /// usable_stash_.
+  struct Record {
+    NodeSample latest;              ///< newest delivery, usable or not
+    Watts prev_usable_power{0.0};   ///< the usable delivery before it
+    std::uint64_t delivered = 0;    ///< deliveries so far
+    std::uint64_t usable_seq = 0;   ///< newest usable delivery; 0 = none
+    std::uint64_t prev_usable_seq = 0;
+  };
 
-  /// Appends a delivered sample to slot's history ring in the arena.
-  void push_history(std::size_t slot, const NodeSample& s) {
-    hist_store_[static_cast<std::size_t>(hist_head_[slot]) * hist_stride_ +
-                slot] = s;
-    const std::uint32_t next = hist_head_[slot] + 1;
-    hist_head_[slot] = next == hist_depth_ ? 0 : next;
-    if (hist_size_[slot] < hist_depth_) ++hist_size_[slot];
-  }
+  /// Delivers a sample into slot's record; `node` is the board it came
+  /// from, whose spec bounds a usable estimate. Returns whether the slot
+  /// already held a delivery at the same DVFS level.
+  bool deliver(std::size_t slot, const NodeSample& s, const hw::Node& node);
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   /// Slot index of a node in slots_/candidates_, or kNoSlot.
@@ -263,20 +251,14 @@ class Collector {
   std::vector<hw::NodeId> candidates_;
   /// Per-candidate state, aligned with candidates_: the sweep indexes
   /// straight into this array — no hash probe per sample. slot_of_ maps a
-  /// node id to its slot for the point lookups (history/latest/previous).
+  /// node id to its slot for the point lookup (latest).
   std::vector<Monitored> slots_;
   std::vector<std::uint32_t> slot_of_;
-  /// Sample histories, depth-striped: stripe d of slot s lives at
-  /// hist_store_[d * hist_stride_ + s]. Heads start aligned across slots,
-  /// so the common collect cycle (every candidate delivers) writes one
-  /// contiguous stripe of the arena — streaming stores instead of a
-  /// dependent load per node into scattered per-node ring buffers, which
-  /// is what dominated the sweep at 32k+ candidates. Loss/delay/faults
-  /// only ever let individual heads fall behind; correctness never
-  /// depends on the alignment.
-  std::vector<NodeSample> hist_store_;
-  std::vector<std::uint32_t> hist_head_;  ///< next stripe to write, per slot
-  std::vector<std::uint32_t> hist_size_;  ///< samples held, per slot
+  /// Telemetry records, aligned with candidates_, and each slot's newest
+  /// usable delivery while a newer unusable one is its `latest`. Kept
+  /// apart so the common delivery never touches the stash.
+  std::vector<Record> records_;
+  std::vector<NodeSample> usable_stash_;
   /// Reports in transit, one FIFO ring of transport.delay_cycles entries
   /// per slot in one slot-major arena (no arena at all on an undelayed
   /// transport). Sample cycles are distinct and increasing and due
@@ -285,8 +267,6 @@ class Collector {
   /// exact, and a push past it throws instead of overwriting.
   common::RingArena<InFlight> in_flight_;
   bool last_sweep_quiet_ = false;
-  std::size_t hist_stride_ = 0;           ///< == candidates_.size()
-  std::uint32_t hist_depth_ = 1;          ///< == params_.history_depth
   std::uint64_t cycle_counter_ = 0;
   std::atomic<std::uint64_t> samples_lost_{0};
   std::atomic<std::uint64_t> samples_delivered_{0};

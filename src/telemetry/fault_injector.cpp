@@ -90,8 +90,8 @@ FaultInjector::Outcome FaultInjector::apply(NodeSample& sample,
   }
 
   // Corruption: the report escapes, but its power estimate is garbage.
-  // Always implausible (negative, or far beyond any board's ceiling), so a
-  // sanity-checking consumer can reject it; a naive one mis-caps.
+  // Always implausible (negative, or far beyond any board's ceiling), so the
+  // collector rejects it at delivery; a naive reader of latest() mis-caps.
   if (params_.corruption_rate > 0.0 &&
       st.rng.bernoulli(params_.corruption_rate)) {
     out.corrupted = true;

@@ -39,7 +39,8 @@ struct FaultParams {
   /// Probability that a report that does get out carries a corrupted
   /// power estimate (counter torn mid-update, byte-swapped payload). The
   /// corruption is *implausible* — negative or far above the board's
-  /// ceiling — so consumers can and must sanity-check.
+  /// ceiling — so the collector, judging each report as it lands, never
+  /// makes one a node's usable sample.
   double corruption_rate = 0.0;
 
   /// True when any fault channel is active; the collector skips the

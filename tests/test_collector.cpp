@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <deque>
+#include <map>
 #include <new>
 #include <optional>
 
@@ -56,6 +59,20 @@ std::vector<hw::Node> make_nodes(std::size_t n) {
   return nodes;
 }
 
+/// Moves a node's utilisation, so consecutive samples carry distinct
+/// power estimates a test can tell apart.
+void set_utilization(hw::Node& node, double u) {
+  hw::OperatingPoint op = node.operating_point();
+  op.cpu_utilization = u;
+  node.set_operating_point(op);
+}
+
+std::size_t slot_in(const Collector& c, hw::NodeId id) {
+  const auto& set = c.candidate_set();
+  return static_cast<std::size_t>(
+      std::lower_bound(set.begin(), set.end(), id) - set.begin());
+}
+
 CollectorParams quiet_params() {
   CollectorParams p;
   p.agent.utilization_noise = 0.0;
@@ -96,11 +113,16 @@ TEST(Collector, PreviousRequiresTwoSamples) {
   c.set_candidate_set({0});
   auto nodes = make_nodes(1);
   c.collect(nodes, Seconds{1.0}, 1);
-  EXPECT_FALSE(c.previous(0).has_value());
+  const Watts first = c.latest(0)->estimated_power;
+  EXPECT_FALSE(c.usable_at_slot(0).has_prev);
+  set_utilization(nodes[0], 0.8);
   c.collect(nodes, Seconds{2.0}, 1);
-  const auto prev = c.previous(0);
-  ASSERT_TRUE(prev.has_value());
-  EXPECT_EQ(prev->time, Seconds{1.0});
+  const UsableSample u = c.usable_at_slot(0);
+  ASSERT_NE(u.sample, nullptr);
+  ASSERT_TRUE(u.has_prev);
+  EXPECT_EQ(u.prev_power, first);
+  EXPECT_NE(u.sample->estimated_power, first);
+  EXPECT_EQ(u.sample->time, Seconds{2.0});
   EXPECT_EQ(c.latest(0)->time, Seconds{2.0});
 }
 
@@ -110,11 +132,17 @@ TEST(Collector, HistoryRollsOver) {
   Collector c(p, common::Rng(5));
   c.set_candidate_set({0});
   auto nodes = make_nodes(1);
+  std::vector<Watts> power_at(11);
   for (int t = 1; t <= 10; ++t) {
+    set_utilization(nodes[0], 0.05 * t);
     c.collect(nodes, Seconds{static_cast<double>(t)}, 1);
+    power_at[t] = c.latest(0)->estimated_power;
   }
   EXPECT_EQ(c.latest(0)->time, Seconds{10.0});
-  EXPECT_EQ(c.previous(0)->time, Seconds{9.0});
+  const UsableSample u = c.usable_at_slot(0);
+  ASSERT_TRUE(u.has_prev);
+  EXPECT_EQ(u.prev_power, power_at[9]);
+  EXPECT_EQ(c.deliveries_at_slot(0), 10u);
 }
 
 TEST(Collector, RemovedCandidateDropsHistory) {
@@ -230,14 +258,18 @@ TEST(CollectorTransport, DelayedSamplesArriveInOrder) {
   Collector c(p, common::Rng(24));
   c.set_candidate_set({0});
   auto nodes = make_nodes(1);
+  std::vector<Watts> power_at(11);
   for (int t = 1; t <= 10; ++t) {
+    set_utilization(nodes[0], 0.05 * t);
+    power_at[t] = nodes[0].estimated_power();
     c.collect(nodes, Seconds{static_cast<double>(t)}, 1);
   }
   const auto latest = c.latest(0);
-  const auto prev = c.previous(0);
-  ASSERT_TRUE(latest && prev);
+  const UsableSample u = c.usable_at_slot(0);
+  ASSERT_TRUE(latest && u.has_prev);
   EXPECT_DOUBLE_EQ(latest->time.value(), 7.0);  // t=10 delivered t-3
-  EXPECT_DOUBLE_EQ(prev->time.value(), 6.0);
+  EXPECT_DOUBLE_EQ(latest->estimated_power.value(), power_at[7].value());
+  EXPECT_DOUBLE_EQ(u.prev_power.value(), power_at[6].value());
 }
 
 TEST(Collector, SamplesAreStampedWithTheCollectionCycle) {
@@ -246,10 +278,16 @@ TEST(Collector, SamplesAreStampedWithTheCollectionCycle) {
   auto nodes = make_nodes(1);
   EXPECT_EQ(c.cycle_count(), 0u);
   c.collect(nodes, Seconds{1.0}, 1);
+  EXPECT_EQ(c.latest(0)->cycle, 1u);
+  const Watts first = c.latest(0)->estimated_power;
+  set_utilization(nodes[0], 0.8);
   c.collect(nodes, Seconds{2.0}, 1);
   EXPECT_EQ(c.cycle_count(), 2u);
   EXPECT_EQ(c.latest(0)->cycle, 2u);
-  EXPECT_EQ(c.previous(0)->cycle, 1u);
+  // The usable sample is the cycle-2 one; the one before it is cycle 1's.
+  const UsableSample u = c.usable_at_slot(0);
+  EXPECT_EQ(u.sample->cycle, 2u);
+  EXPECT_EQ(u.prev_power, first);
 }
 
 TEST(CollectorTransport, DelayedSampleKeepsItsSamplingCycleStamp) {
@@ -279,12 +317,6 @@ TEST(CollectorTransport, BadParamsThrow) {
   p = quiet_params();
   p.transport.delay_cycles = -1;
   EXPECT_THROW(Collector(p, common::Rng(1)), std::invalid_argument);
-}
-
-std::size_t slot_in(const Collector& c, hw::NodeId id) {
-  const auto& set = c.candidate_set();
-  return static_cast<std::size_t>(
-      std::lower_bound(set.begin(), set.end(), id) - set.begin());
 }
 
 TEST(CollectorRing, ArenaCapacityIsDelayTimesCandidates) {
@@ -347,7 +379,8 @@ TEST(CollectorRing, PropertiesHoldUnderFaultsLossAndSkips) {
     p.faults.corruption_rate = 0.04;
     Collector c(p, common::Rng(seed * 131 + static_cast<std::uint64_t>(delay)));
     constexpr std::size_t kNodes = 5;
-    c.set_candidate_set({0, 1, 2, 3, 4});
+    const std::vector<hw::NodeId> candidates = {0, 1, 2, 3, 4};
+    c.set_candidate_set(candidates);
     auto nodes = make_nodes(kNodes);
     const hw::Level top = nodes[0].spec().ladder.highest();
     // Corrupted payloads are negative or >= 50x a real estimate; anything
@@ -361,6 +394,7 @@ TEST(CollectorRing, PropertiesHoldUnderFaultsLossAndSkips) {
 
     common::Rng script(seed ^ 0x9e3779b97f4a7c15ULL);
     std::vector<std::uint64_t> newest(kNodes, 0);
+    std::vector<std::uint64_t> seen(kNodes, 0);
     std::vector<std::optional<hw::Level>> last_level(kNodes);
     std::uint64_t taken = 0;
     int quiet_sweeps = 0;
@@ -383,27 +417,23 @@ TEST(CollectorRing, PropertiesHoldUnderFaultsLossAndSkips) {
       bool quiet = true;
       std::uint64_t arrivals = 0;
       for (std::size_t slot = 0; slot < kNodes; ++slot) {
-        const SampleHistoryView h = c.history_at_slot(slot);
-        // Histories hold deliveries in arrival order: arrival order must
-        // be sampling order.
-        for (std::size_t k = 1; k < h.size(); ++k) {
-          ASSERT_LT(h[k - 1].cycle, h[k].cycle) << "slot " << slot;
-        }
-        std::size_t first_new = h.size();
-        while (first_new > 0 && h[first_new - 1].cycle > newest[slot]) {
-          --first_new;
-        }
-        const std::size_t landed = h.size() - first_new;
-        for (std::size_t k = first_new; k < h.size(); ++k) {
-          EXPECT_LE(h[k].cycle + static_cast<std::uint64_t>(delay), now);
+        const std::uint64_t landed = c.deliveries_at_slot(slot) - seen[slot];
+        seen[slot] += landed;
+        const std::optional<NodeSample> back = c.latest(candidates[slot]);
+        if (landed != 0) {
+          // Arrival order must be sampling order, and nothing lands
+          // before its delay is up.
+          ASSERT_TRUE(back.has_value());
+          ASSERT_GT(back->cycle, newest[slot]) << "slot " << slot;
+          EXPECT_LE(back->cycle + static_cast<std::uint64_t>(delay), now);
         }
         if (landed != 1 || !last_level[slot] ||
-            *last_level[slot] != h.back().level || corrupted(h.back())) {
+            *last_level[slot] != back->level || corrupted(*back)) {
           quiet = false;
         }
         if (landed != 0) {
-          newest[slot] = h.back().cycle;
-          last_level[slot] = h.back().level;
+          newest[slot] = back->cycle;
+          last_level[slot] = back->level;
         }
         arrivals += landed;
         EXPECT_LE(c.reports_in_flight_at_slot(slot),
@@ -421,6 +451,182 @@ TEST(CollectorRing, PropertiesHoldUnderFaultsLossAndSkips) {
     EXPECT_GT(c.fault_injector().samples_corrupted(), 0u);
     EXPECT_GT(quiet_sweeps, 0);
     EXPECT_GT(noisy_sweeps, 0);
+  }
+}
+
+/// The window walk the collector's per-slot record replaces, kept as an
+/// oracle: the last `depth` deliveries of one node, newest last, searched
+/// newest-to-oldest for a sample within the sanity bound.
+struct WindowWalk {
+  const NodeSample* chosen = nullptr;
+  std::uint32_t rejected = 0;
+  bool substituted = false;
+  bool has_prev = false;
+  Watts prev_power{0.0};
+};
+
+bool plausible(const NodeSample& s, const hw::Node& node) {
+  const double w = s.estimated_power.value();
+  return std::isfinite(w) && w >= 0.0 &&
+         s.estimated_power <= node.spec().power_model.theoretical_max() * 1.5;
+}
+
+WindowWalk walk(const std::deque<NodeSample>& window, const hw::Node& node) {
+  WindowWalk w;
+  std::size_t i = window.size();
+  while (i-- > 0) {
+    if (plausible(window[i], node)) break;
+    ++w.rejected;
+  }
+  if (i == static_cast<std::size_t>(-1)) return w;
+  w.chosen = &window[i];
+  w.substituted = i + 1 != window.size();
+  while (i-- > 0) {
+    if (plausible(window[i], node)) {
+      w.has_prev = true;
+      w.prev_power = window[i].estimated_power;
+      break;
+    }
+  }
+  return w;
+}
+
+bool same_sample(const NodeSample& a, const NodeSample& b) {
+  return a.node == b.node && a.time == b.time && a.cycle == b.cycle &&
+         a.level == b.level && a.busy == b.busy &&
+         a.estimated_power == b.estimated_power;
+}
+
+TEST(CollectorRecord, MatchesTheWindowWalkOracle) {
+  // Every sweep, each slot's O(1) record must say exactly what a walk over
+  // its last history_depth deliveries says, under corruption, delay,
+  // loss, dropout, crashes, candidate churn and warm-restart clock jumps.
+  // No cycle is skipped, so at most one report lands per slot per sweep
+  // and the test sees every delivery as the slot's new raw newest.
+  const std::uint64_t seed = fault_seed(11);
+  constexpr std::size_t kPool = 8;
+  std::map<std::size_t, int> expiries;
+  std::map<std::size_t, int> readmissions;
+  for (const std::size_t depth : {2u, 3u, 8u}) {
+    for (const double corruption : {0.0, 0.005, 0.5, 1.0}) {
+      for (const int delay : {0, 1, 2}) {
+        SCOPED_TRACE(::testing::Message() << "depth " << depth
+                                          << " corruption " << corruption
+                                          << " delay " << delay);
+        CollectorParams p;  // agent noise on: every sample differs
+        p.history_depth = depth;
+        p.transport.delay_cycles = delay;
+        p.transport.loss_rate = 0.05;
+        p.faults.agent_dropout_rate = 0.02;
+        p.faults.agent_recovery_rate = 0.4;
+        p.faults.crash_rate = 0.005;
+        p.faults.crash_duration_cycles = 3;
+        p.faults.corruption_rate = corruption;
+        Collector c(p, common::Rng(
+                           seed * 977 + depth * 31 +
+                           static_cast<std::uint64_t>(delay) * 7 +
+                           static_cast<std::uint64_t>(corruption * 1000)));
+        auto nodes = make_nodes(kPool);
+        const auto top = static_cast<std::int64_t>(
+            nodes[0].spec().ladder.highest());
+        common::Rng script(seed ^ 0x2545f4914f6cdd1dULL ^ depth);
+
+        std::vector<std::deque<NodeSample>> window(kPool);
+        std::vector<std::uint64_t> seen(kPool, 0);
+        std::vector<bool> usable_now(kPool, false);
+        std::vector<bool> expired(kPool, false);
+        std::vector<hw::NodeId> set = {0, 1, 2, 3, 4, 5};
+        c.set_candidate_set(set);
+        for (int step = 1; step <= 400; ++step) {
+          if (script.bernoulli(0.03)) {
+            std::vector<hw::NodeId> next;
+            for (hw::NodeId id = 0; id < kPool; ++id) {
+              if (script.bernoulli(0.75)) next.push_back(id);
+            }
+            for (hw::NodeId id = 0; id < kPool; ++id) {
+              if (std::find(next.begin(), next.end(), id) != next.end()) {
+                continue;
+              }
+              // A dropped node's record goes with it; re-added, it
+              // starts empty.
+              window[id].clear();
+              seen[id] = 0;
+              usable_now[id] = false;
+              expired[id] = false;
+            }
+            set = next;
+            c.set_candidate_set(set);
+          }
+          if (script.bernoulli(0.02)) {
+            const std::uint64_t now = c.cycle_count();
+            c.restore_cycle_count(script.bernoulli(0.5) ? now + 50
+                                                        : now / 2);
+          }
+          if (script.bernoulli(0.1)) {
+            nodes[script.uniform_int(0, kPool - 1)].set_level(
+                static_cast<hw::Level>(script.uniform_int(0, top)));
+          }
+          set_utilization(nodes[script.uniform_int(0, kPool - 1)],
+                          script.uniform(0.0, 1.0));
+
+          const std::uint64_t delivered_before = c.samples_delivered();
+          c.collect(nodes, Seconds{static_cast<double>(step)}, 1);
+          std::uint64_t arrivals = 0;
+          for (std::size_t slot = 0; slot < set.size(); ++slot) {
+            const hw::NodeId id = set[slot];
+            const std::uint64_t landed = c.deliveries_at_slot(slot) - seen[id];
+            ASSERT_LE(landed, 1u) << "node " << id;
+            seen[id] += landed;
+            arrivals += landed;
+            const std::optional<NodeSample> newest = c.latest(id);
+            if (landed != 0) {
+              ASSERT_TRUE(newest.has_value());
+              window[id].push_back(*newest);
+              if (window[id].size() > depth) window[id].pop_front();
+            }
+            // Raw newest: what latest() returns, corrupt or not.
+            ASSERT_EQ(newest.has_value(), !window[id].empty());
+            if (newest) {
+              EXPECT_TRUE(same_sample(*newest, window[id].back()));
+            }
+
+            const WindowWalk want = walk(window[id], nodes[id]);
+            const UsableSample got = c.usable_at_slot(slot);
+            ASSERT_EQ(got.sample != nullptr, want.chosen != nullptr)
+                << "node " << id << " step " << step;
+            EXPECT_EQ(got.rejected, want.rejected);
+            if (want.chosen != nullptr) {
+              EXPECT_TRUE(same_sample(*got.sample, *want.chosen));
+              EXPECT_EQ(got.substituted, want.substituted);
+              EXPECT_EQ(got.has_prev, want.has_prev);
+              if (want.has_prev) {
+                EXPECT_EQ(got.prev_power, want.prev_power);
+              }
+            }
+            // Window expiry: a usable node that then took history_depth
+            // corrupt deliveries in a row has nothing usable left; the
+            // next plausible delivery readmits it.
+            const bool usable = want.chosen != nullptr;
+            if (usable_now[id] && !usable) {
+              EXPECT_EQ(want.rejected, depth);
+              expired[id] = true;
+              ++expiries[depth];
+            }
+            if (expired[id] && usable) {
+              EXPECT_EQ(want.rejected, 0u);
+              expired[id] = false;
+              ++readmissions[depth];
+            }
+            usable_now[id] = usable;
+          }
+          EXPECT_EQ(c.samples_delivered() - delivered_before, arrivals);
+        }
+      }
+    }
+  }
+  for (const std::size_t depth : {2u, 3u, 8u}) {
+    EXPECT_GT(expiries[depth], 0) << "depth " << depth;
+    EXPECT_GT(readmissions[depth], 0) << "depth " << depth;
   }
 }
 

@@ -42,6 +42,20 @@ TEST(ConfigLoader, ClusterSection) {
   EXPECT_DOUBLE_EQ(cfg.cluster.privileged_job_fraction, 0.15);
 }
 
+// Regression: an absent npb_class fell back to a hard-coded class D, so
+// any config applied to a class-C base silently switched it to class D.
+TEST(ConfigLoader, AbsentNpbClassKeepsTheBaseClass) {
+  const auto on_small = [](const std::string& text) {
+    return apply_config(small_scenario(), common::Config::parse(text))
+        .cluster.npb_class;
+  };
+  ASSERT_EQ(small_scenario().cluster.npb_class, workload::NpbClass::kC);
+  EXPECT_EQ(on_small(""), workload::NpbClass::kC);
+  EXPECT_EQ(on_small("[cluster]\nnodes = 8\n"), workload::NpbClass::kC);
+  EXPECT_EQ(on_small("[cluster]\nnpb_class = D\n"), workload::NpbClass::kD);
+  EXPECT_EQ(load("").cluster.npb_class, workload::NpbClass::kD);
+}
+
 TEST(ConfigLoader, ManagerSection) {
   const ExperimentConfig cfg = load(
       "[manager]\n"

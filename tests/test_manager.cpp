@@ -384,9 +384,9 @@ TEST(CappingManager, DelayedTelemetryGoesStaleAndGetsFallback) {
   for (const NodeView& nv : ctx.nodes) {
     EXPECT_TRUE(nv.stale);
     // The fallback is the delivered estimate inflated by the margin.
-    const auto hist = m.collector().history(nv.id);
-    ASSERT_TRUE(hist.has_value());
-    EXPECT_NEAR(nv.power.value(), hist->back().estimated_power.value() * 1.25,
+    const auto newest = m.collector().latest(nv.id);
+    ASSERT_TRUE(newest.has_value());
+    EXPECT_NEAR(nv.power.value(), newest->estimated_power.value() * 1.25,
                 1e-9);
   }
 }
