@@ -30,13 +30,17 @@ OUT=${7:-}
 HERE=$(cd "$(dirname "$0")/.." && pwd)
 
 RUNS=$(mktemp)
-trap 'rm -f "$RUNS"' EXIT
+ERRS=$(mktemp)
+trap 'rm -f "$RUNS" "$ERRS"' EXIT
 
 run_side() {
   local side=$1 dir=$2 pair=$3 log
+  # run.py's stderr (the build, and any failed check) is kept for a
+  # failed run only.
   log=$(cd "$dir" && python3 e2ebench/run.py --workload "$WORKLOAD" \
-        --seed "$SEED" --seconds "$SECONDS_ARG" --trace 0 2>/dev/null) || {
-    echo "e2e_ab: $side run failed in $dir" >&2
+        --seed "$SEED" --seconds "$SECONDS_ARG" --trace 0 2>"$ERRS") || {
+    echo "e2e_ab: $side run failed in $dir; the end of its stderr:" >&2
+    tail -n 40 "$ERRS" >&2
     exit 1
   }
   local digest result

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <map>
 #include <new>
 #include <optional>
@@ -384,21 +385,40 @@ TEST(CollectorRing, PropertiesHoldUnderFaultsLossAndSkips) {
     auto nodes = make_nodes(kNodes);
     const hw::Level top = nodes[0].spec().ladder.highest();
     // Corrupted payloads are negative or >= 50x a real estimate; anything
-    // above twice the top-level estimate is one.
-    const double ceiling = 2.0 * nodes[0].estimated_power_at(top).value();
-    ASSERT_GT(50.0 * nodes[0].estimated_power_at(0).value(), ceiling);
+    // above twice the fully loaded top-level estimate is one.
+    auto probes = make_nodes(1);
+    hw::Node& probe = probes[0];
+    set_utilization(probe, 1.0);
+    const double ceiling = 2.0 * probe.estimated_power_at(top).value();
+    set_utilization(probe, 0.0);
+    ASSERT_GT(50.0 * probe.estimated_power_at(0).value(), ceiling);
     const auto corrupted = [&](const NodeSample& s) {
       return s.estimated_power.value() < 0.0 ||
              s.estimated_power.value() > ceiling;
     };
 
+    // Agent noise is off and every sweep gives every node a utilisation
+    // of its own, so a usable report's power names the cycle it was taken
+    // in. That places the reports latest() never shows: after a skipped
+    // cycle several land in one sweep, and only the newest is latest().
+    std::vector<ProfilingAgent> reference;
+    for (const hw::NodeId id : candidates) {
+      reference.emplace_back(id, p.agent, common::Rng(1));
+    }
+    std::vector<std::map<double, std::uint64_t>> taken_at(kNodes);
+    std::vector<std::uint64_t> sweep_cycles;
+
     common::Rng script(seed ^ 0x9e3779b97f4a7c15ULL);
     std::vector<std::uint64_t> newest(kNodes, 0);
     std::vector<std::uint64_t> seen(kNodes, 0);
     std::vector<std::optional<hw::Level>> last_level(kNodes);
+    std::vector<std::optional<std::uint64_t>> usable_cycle(kNodes);
+    std::vector<std::optional<std::uint64_t>> prev_cycle(kNodes);
     std::uint64_t taken = 0;
     int quiet_sweeps = 0;
     int noisy_sweeps = 0;
+    int shared_landings = 0;  // a usable report and its usable predecessor
+                              // landed in the same sweep
     for (int step = 1; step <= 600; ++step) {
       if (script.bernoulli(0.25)) {
         c.skip_cycle(1);
@@ -409,10 +429,23 @@ TEST(CollectorRing, PropertiesHoldUnderFaultsLossAndSkips) {
         nodes[script.uniform_int(0, kNodes - 1)].set_level(
             static_cast<hw::Level>(script.uniform_int(0, top)));
       }
+      for (std::size_t slot = 0; slot < kNodes; ++slot) {
+        set_utilization(nodes[slot],
+                        0.05 + 0.9 * static_cast<double>(step * kNodes + slot) /
+                                   (601.0 * kNodes));
+      }
       const std::uint64_t delivered_before = c.samples_delivered();
-      c.collect(nodes, Seconds{static_cast<double>(step)}, 1);
+      const Seconds t{static_cast<double>(step)};
+      c.collect(nodes, t, 1);
       taken += kNodes;
       const std::uint64_t now = c.cycle_count();
+      sweep_cycles.push_back(now);
+      for (std::size_t slot = 0; slot < kNodes; ++slot) {
+        const double w = reference[slot].sample(nodes[slot], t)
+                             .estimated_power.value();
+        ASSERT_TRUE(taken_at[slot].emplace(w, now).second)
+            << "two cycles share a power estimate";
+      }
 
       bool quiet = true;
       std::uint64_t arrivals = 0;
@@ -426,7 +459,50 @@ TEST(CollectorRing, PropertiesHoldUnderFaultsLossAndSkips) {
           ASSERT_TRUE(back.has_value());
           ASSERT_GT(back->cycle, newest[slot]) << "slot " << slot;
           EXPECT_LE(back->cycle + static_cast<std::uint64_t>(delay), now);
+          // No more landed than were taken in the cycles it spans.
+          EXPECT_LE(landed, static_cast<std::uint64_t>(
+                                std::upper_bound(sweep_cycles.begin(),
+                                                 sweep_cycles.end(),
+                                                 back->cycle) -
+                                std::upper_bound(sweep_cycles.begin(),
+                                                 sweep_cycles.end(),
+                                                 newest[slot])));
         }
+        // The same two properties for the reports before the newest, by
+        // the usable record: a usable report that landed this sweep was
+        // taken after the slot's previous newest and no later than this
+        // sweep's newest; the usable report before it was taken earlier
+        // still. Anything not landed this sweep is what the record held.
+        const UsableSample u = c.usable_at_slot(slot);
+        std::optional<std::uint64_t> u_cycle;
+        std::optional<std::uint64_t> p_cycle;
+        if (u.sample != nullptr) {
+          u_cycle = u.sample->cycle;
+          if (*u_cycle > newest[slot]) {
+            ASSERT_NE(landed, 0u) << "slot " << slot;
+            EXPECT_LE(*u_cycle, back->cycle);
+            EXPECT_LE(*u_cycle + static_cast<std::uint64_t>(delay), now);
+          } else {
+            EXPECT_EQ(u_cycle, usable_cycle[slot]) << "slot " << slot;
+          }
+        }
+        if (u.has_prev) {
+          ASSERT_TRUE(u_cycle.has_value());
+          const auto it = taken_at[slot].find(u.prev_power.value());
+          ASSERT_NE(it, taken_at[slot].end()) << "slot " << slot;
+          p_cycle = it->second;
+          EXPECT_LT(*p_cycle, *u_cycle) << "slot " << slot;
+          if (*p_cycle > newest[slot]) {
+            EXPECT_LE(*p_cycle + static_cast<std::uint64_t>(delay), now);
+            ++shared_landings;
+          } else if (*u_cycle > newest[slot]) {
+            EXPECT_EQ(p_cycle, usable_cycle[slot]) << "slot " << slot;
+          } else {
+            EXPECT_EQ(p_cycle, prev_cycle[slot]) << "slot " << slot;
+          }
+        }
+        usable_cycle[slot] = u_cycle;
+        prev_cycle[slot] = p_cycle;
         if (landed != 1 || !last_level[slot] ||
             *last_level[slot] != back->level || corrupted(*back)) {
           quiet = false;
@@ -451,6 +527,11 @@ TEST(CollectorRing, PropertiesHoldUnderFaultsLossAndSkips) {
     EXPECT_GT(c.fault_injector().samples_corrupted(), 0u);
     EXPECT_GT(quiet_sweeps, 0);
     EXPECT_GT(noisy_sweeps, 0);
+    // With a one-cycle delay a report is always due by the next sweep,
+    // so only longer delays can land two in one sweep.
+    if (delay >= 2) {
+      EXPECT_GT(shared_landings, 0);
+    }
   }
 }
 
@@ -502,7 +583,8 @@ TEST(CollectorRecord, MatchesTheWindowWalkOracle) {
   // its last history_depth deliveries says, under corruption, delay,
   // loss, dropout, crashes, candidate churn and warm-restart clock jumps.
   // No cycle is skipped, so at most one report lands per slot per sweep
-  // and the test sees every delivery as the slot's new raw newest.
+  // and the test sees every delivery as the slot's new raw newest
+  // (MatchesTheWindowWalkOracleAcrossSkips covers skipped cycles).
   const std::uint64_t seed = fault_seed(11);
   constexpr std::size_t kPool = 8;
   std::map<std::size_t, int> expiries;
@@ -627,6 +709,183 @@ TEST(CollectorRecord, MatchesTheWindowWalkOracle) {
   for (const std::size_t depth : {2u, 3u, 8u}) {
     EXPECT_GT(expiries[depth], 0) << "depth " << depth;
     EXPECT_GT(readmissions[depth], 0) << "depth " << depth;
+  }
+}
+
+TEST(CollectorRecord, MatchesTheWindowWalkOracleAcrossSkips) {
+  // After a skipped cycle several delayed reports land in one sweep, and
+  // latest() shows only the newest of them. Here each collector watches a
+  // single node with agent noise off, so the test rebuilds every landing
+  // itself: that collector's counters say whether a sweep's report was
+  // suppressed, corrupted or lost, a noise-free agent says what it
+  // carried, and the transport delay says on which sweep it lands. The
+  // record must agree with the window walk over those deliveries after
+  // every sweep, across churn and warm-restart clock jumps too.
+  const std::uint64_t seed = fault_seed(13);
+  constexpr std::size_t kNodes = 3;
+  const double corrupt = std::numeric_limits<double>::quiet_NaN();
+  std::map<std::size_t, int> multi_landings;
+  std::map<std::size_t, int> shared_prev;
+  for (const std::size_t depth : {2u, 3u, 8u}) {
+    for (const double corruption : {0.0, 0.005, 0.5, 1.0}) {
+      for (const int delay : {0, 1, 2, 3}) {
+        SCOPED_TRACE(::testing::Message() << "depth " << depth
+                                          << " corruption " << corruption
+                                          << " delay " << delay);
+        CollectorParams p = quiet_params();
+        p.history_depth = depth;
+        p.transport.delay_cycles = delay;
+        p.transport.loss_rate = 0.05;
+        p.faults.agent_dropout_rate = 0.02;
+        p.faults.agent_recovery_rate = 0.4;
+        p.faults.crash_rate = 0.005;
+        p.faults.crash_duration_cycles = 3;
+        p.faults.corruption_rate = corruption;
+        auto nodes = make_nodes(kNodes);
+        const auto top = static_cast<std::int64_t>(
+            nodes[0].spec().ladder.highest());
+        common::Rng script(seed ^ 0x6a09e667f3bcc909ULL ^ depth);
+
+        // Per watched node: its collector, a reference agent, the reports
+        // the test expects in flight and the last `depth` deliveries (a
+        // corrupted one carries a NaN power: its payload is unknown).
+        std::deque<Collector> collectors;
+        std::vector<ProfilingAgent> reference;
+        std::vector<std::deque<NodeSample>> in_flight(kNodes);
+        std::vector<std::deque<NodeSample>> window(kNodes);
+        std::vector<bool> member(kNodes, true);
+        std::vector<std::uint64_t> seen(kNodes, 0);
+        for (hw::NodeId id = 0; id < kNodes; ++id) {
+          collectors.emplace_back(
+              p, common::Rng(seed * 1009 + id * 131 + depth * 17 +
+                             static_cast<std::uint64_t>(delay) * 7 +
+                             static_cast<std::uint64_t>(corruption * 1000)));
+          collectors.back().set_candidate_set({id});
+          reference.emplace_back(id, p.agent, common::Rng(1));
+        }
+        for (int step = 1; step <= 300; ++step) {
+          if (script.bernoulli(0.1)) {
+            nodes[script.uniform_int(0, kNodes - 1)].set_level(
+                static_cast<hw::Level>(script.uniform_int(0, top)));
+          }
+          set_utilization(nodes[script.uniform_int(0, kNodes - 1)],
+                          script.uniform(0.0, 1.0));
+          const Seconds t{static_cast<double>(step)};
+          for (hw::NodeId id = 0; id < kNodes; ++id) {
+            Collector& c = collectors[id];
+            if (script.bernoulli(member[id] ? 0.02 : 0.3)) {
+              // Dropped, a node loses its record and its queued reports;
+              // re-added, it starts empty.
+              member[id] = !member[id];
+              c.set_candidate_set(member[id] ? std::vector<hw::NodeId>{id}
+                                             : std::vector<hw::NodeId>{});
+              in_flight[id].clear();
+              window[id].clear();
+              seen[id] = 0;
+            }
+            if (script.bernoulli(0.02)) {
+              const std::uint64_t lost_before = c.samples_lost();
+              const std::uint64_t now = c.cycle_count();
+              c.restore_cycle_count(script.bernoulli(0.5) ? now + 50
+                                                          : now / 2);
+              EXPECT_EQ(c.samples_lost() - lost_before, in_flight[id].size());
+              in_flight[id].clear();
+            }
+            if (script.bernoulli(0.3)) {
+              c.skip_cycle(1);
+              continue;
+            }
+            const std::uint64_t suppressed = c.samples_suppressed();
+            const std::uint64_t corrupted =
+                c.fault_injector().samples_corrupted();
+            const std::uint64_t lost = c.samples_lost();
+            c.collect(nodes, t, 1);
+            if (!member[id]) continue;
+            const std::uint64_t now = c.cycle_count();
+
+            // Rebuild the sweep: due reports land in order, then this
+            // sweep's report is taken and sent.
+            std::uint64_t landed = 0;
+            const auto land = [&](const NodeSample& s) {
+              window[id].push_back(s);
+              if (window[id].size() > depth) window[id].pop_front();
+              ++landed;
+            };
+            while (!in_flight[id].empty() &&
+                   in_flight[id].front().cycle +
+                           static_cast<std::uint64_t>(delay) <=
+                       now) {
+              land(in_flight[id].front());
+              in_flight[id].pop_front();
+            }
+            const std::uint64_t d_suppressed =
+                c.samples_suppressed() - suppressed;
+            const std::uint64_t d_corrupted =
+                c.fault_injector().samples_corrupted() - corrupted;
+            const std::uint64_t d_lost = c.samples_lost() - lost;
+            ASSERT_LE(d_suppressed + d_lost, 1u);
+            ASSERT_LE(d_corrupted, 1u);
+            NodeSample sent = reference[id].sample(nodes[id], t);
+            sent.cycle = now;
+            if (d_corrupted != 0) sent.estimated_power = Watts{corrupt};
+            if (d_suppressed == 0 && d_lost == 0) {
+              if (delay == 0) {
+                land(sent);
+              } else {
+                in_flight[id].push_back(sent);
+              }
+            }
+            ASSERT_EQ(c.deliveries_at_slot(0) - seen[id], landed)
+                << "node " << id << " step " << step;
+            seen[id] += landed;
+            ASSERT_EQ(c.reports_in_flight(), in_flight[id].size());
+
+            // Raw newest: what latest() returns, corrupt or not.
+            const std::optional<NodeSample> newest = c.latest(id);
+            ASSERT_EQ(newest.has_value(), !window[id].empty());
+            if (newest) {
+              NodeSample want = window[id].back();
+              if (std::isnan(want.estimated_power.value())) {
+                EXPECT_FALSE(plausible(*newest, nodes[id]));
+                want.estimated_power = newest->estimated_power;
+              }
+              EXPECT_TRUE(same_sample(*newest, want));
+            }
+
+            const WindowWalk want = walk(window[id], nodes[id]);
+            const UsableSample got = c.usable_at_slot(0);
+            ASSERT_EQ(got.sample != nullptr, want.chosen != nullptr)
+                << "node " << id << " step " << step;
+            EXPECT_EQ(got.rejected, want.rejected);
+            if (want.chosen != nullptr) {
+              EXPECT_TRUE(same_sample(*got.sample, *want.chosen));
+              EXPECT_EQ(got.substituted, want.substituted);
+              EXPECT_EQ(got.has_prev, want.has_prev);
+              if (want.has_prev) {
+                EXPECT_EQ(got.prev_power, want.prev_power);
+              }
+            }
+            if (landed >= 2) {
+              ++multi_landings[depth];
+              // Did the usable sample and its usable predecessor both
+              // land in this sweep?
+              std::size_t usable_landed = 0;
+              for (std::size_t k =
+                       window[id].size() -
+                       std::min<std::size_t>(landed, window[id].size());
+                   k < window[id].size(); ++k) {
+                usable_landed += plausible(window[id][k], nodes[id]) ? 1 : 0;
+              }
+              if (usable_landed >= 2) ++shared_prev[depth];
+            }
+          }
+        }
+      }
+    }
+  }
+  for (const std::size_t depth : {2u, 3u, 8u}) {
+    EXPECT_GT(multi_landings[depth], 0) << "depth " << depth;
+    EXPECT_GT(shared_prev[depth], 0) << "depth " << depth;
   }
 }
 
