@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "cluster/scenario.hpp"
 #include "common/string_util.hpp"
@@ -81,26 +82,29 @@ const std::set<std::string>& known_keys() {
   return keys;
 }
 
-/// Fault-model knobs must be real, non-negative numbers: a stray "nan",
-/// "-0.1" or "1e999" in an ini would otherwise sail through into the
-/// params structs (whose own validation cannot name the offending key —
-/// and [0,1]-range checks pass NaN through every comparison).
+/// Numeric knobs must be real, non-negative numbers (`positive`: strictly
+/// positive, for periods): a stray "nan", "-0.1" or "1e999" in an ini
+/// would otherwise sail through into the params structs, whose own
+/// validation cannot name the offending key — [0,1]-range checks pass
+/// NaN through every comparison — or fail deep inside a run.
 double checked_double(const common::Config& cfg, const std::string& key,
-                      double fallback) {
+                      double fallback, bool positive = false) {
   const double v = cfg.get_double(key, fallback);
-  if (!std::isfinite(v) || v < 0.0) {
+  if (!std::isfinite(v) || v < 0.0 || (positive && v == 0.0)) {
     throw std::runtime_error("experiment config: '" + key +
-                             "' must be a finite non-negative number");
+                             "' must be a finite " +
+                             (positive ? "positive" : "non-negative") +
+                             " number");
   }
   return v;
 }
 
 std::int64_t checked_int(const common::Config& cfg, const std::string& key,
-                         std::int64_t fallback) {
+                         std::int64_t fallback, std::int64_t min = 0) {
   const std::int64_t v = cfg.get_int(key, fallback);
-  if (v < 0) {
-    throw std::runtime_error("experiment config: '" + key +
-                             "' must be >= 0");
+  if (v < min) {
+    throw std::runtime_error("experiment config: '" + key + "' must be >= " +
+                             std::to_string(min));
   }
   return v;
 }
@@ -119,15 +123,17 @@ ExperimentConfig apply_config(ExperimentConfig base,
   ExperimentConfig out = std::move(base);
 
   // [cluster]
-  out.cluster.num_nodes = static_cast<std::size_t>(cfg.get_int(
-      "cluster.nodes", static_cast<std::int64_t>(out.cluster.num_nodes)));
+  out.cluster.num_nodes = static_cast<std::size_t>(checked_int(
+      cfg, "cluster.nodes", static_cast<std::int64_t>(out.cluster.num_nodes),
+      1));
   out.cluster.seed = static_cast<std::uint64_t>(
       cfg.get_int("cluster.seed",
                   static_cast<std::int64_t>(out.cluster.seed)));
-  out.cluster.tick =
-      Seconds{cfg.get_double("cluster.tick_s", out.cluster.tick.value())};
-  out.cluster.control_period = Seconds{cfg.get_double(
-      "cluster.control_period_s", out.cluster.control_period.value())};
+  out.cluster.tick = Seconds{
+      checked_double(cfg, "cluster.tick_s", out.cluster.tick.value(), true)};
+  out.cluster.control_period =
+      Seconds{checked_double(cfg, "cluster.control_period_s",
+                             out.cluster.control_period.value(), true)};
   const std::string cls = common::to_lower(cfg.get_string(
       "cluster.npb_class",
       out.cluster.npb_class == workload::NpbClass::kC ? "c" : "d"));
@@ -138,17 +144,17 @@ ExperimentConfig apply_config(ExperimentConfig base,
   } else {
     throw std::runtime_error("experiment config: npb_class must be C or D");
   }
-  out.cluster.scheduler.max_procs_per_node = static_cast<int>(cfg.get_int(
-      "cluster.max_procs_per_node",
-      out.cluster.scheduler.max_procs_per_node));
-  out.cluster.privileged_job_fraction = cfg.get_double(
-      "cluster.privileged_fraction", out.cluster.privileged_job_fraction);
-  out.cluster.idle_utilization =
-      cfg.get_double("cluster.idle_utilization", out.cluster.idle_utilization);
-  out.cluster.utilization_noise_sigma = cfg.get_double(
-      "cluster.utilization_noise", out.cluster.utilization_noise_sigma);
-  out.cluster.utilization_ramp_tau_s =
-      cfg.get_double("cluster.ramp_tau_s", out.cluster.utilization_ramp_tau_s);
+  out.cluster.scheduler.max_procs_per_node = static_cast<int>(
+      checked_int(cfg, "cluster.max_procs_per_node",
+                  out.cluster.scheduler.max_procs_per_node));
+  out.cluster.privileged_job_fraction = checked_double(
+      cfg, "cluster.privileged_fraction", out.cluster.privileged_job_fraction);
+  out.cluster.idle_utilization = checked_double(
+      cfg, "cluster.idle_utilization", out.cluster.idle_utilization);
+  out.cluster.utilization_noise_sigma = checked_double(
+      cfg, "cluster.utilization_noise", out.cluster.utilization_noise_sigma);
+  out.cluster.utilization_ramp_tau_s = checked_double(
+      cfg, "cluster.ramp_tau_s", out.cluster.utilization_ramp_tau_s);
 
   // [manager]
   out.manager = cfg.get_string("manager.policy", out.manager);

@@ -22,7 +22,8 @@ CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
       // "control" is forked LAST: appending the new stream after the two
       // existing forks leaves every pre-existing seed's collector and
       // actuation streams untouched.
-      ctrl_faults_(params.control, rng.fork("control")) {
+      ctrl_faults_(params.control, rng.fork("control")),
+      forecaster_(params.prediction, params.thresholds.adjust_period_cycles) {
   if (!policy_) throw std::invalid_argument("CappingManager: null policy");
   if (params_.cycle_period <= Seconds{0.0}) {
     throw std::invalid_argument("CappingManager: bad cycle period");
@@ -42,14 +43,6 @@ CappingManager::CappingManager(CappingManagerParams params, PolicyPtr policy,
   // in-context transport-delay staleness only.
   collect_stride_ = params_.green_collect_stride;
   collector_.set_cycle_period(params_.cycle_period);
-  if (params_.prediction.enabled) {
-    params_.prediction.validate();
-    predictor_ = make_predictor(params_.prediction);
-    predictor_refresh_cycles_ = params_.prediction.refresh_cycles > 0
-                                    ? params_.prediction.refresh_cycles
-                                    : params_.thresholds.adjust_period_cycles;
-    scorer_.reset(params_.prediction.horizon_cycles);
-  }
   if (params_.selector) selector_.emplace(*params_.selector);
 }
 
@@ -220,9 +213,12 @@ void ManagerMetrics::bind(obs::Registry& reg) {
   m.actuate_span.bind(reg, span, span_help, "phase=\"actuate\"");
 }
 
-void ManagerMetrics::publish(const ManagerReport& report,
-                             std::size_t unresponsive_now, std::size_t sweeps,
-                             std::size_t context_skips) {
+void ManagerMetrics::publish(const ManagerReport& report, std::size_t sweeps,
+                             std::size_t context_skips,
+                             std::span<const CappingManager* const> shards,
+                             const ControlFaultInjector& control,
+                             const ForecastScorer& scorer,
+                             std::uint64_t predictive_elevations) {
   ManagerMetrics& m = *this;
   obs::Registry* reg = m.reg;
   if (reg == nullptr) return;
@@ -250,45 +246,92 @@ void ManagerMetrics::publish(const ManagerReport& report,
   reg->add(m.divergences, report.divergences);
   reg->add(m.heals, report.heals);
 
-  // Lifetime ground truth owned by the collector/injector/channel: mirror,
-  // don't accumulate, or resets and replays would double-count.
-  reg->set_total(m.samples_lost, report.samples_lost);
-  reg->set_total(m.samples_suppressed, report.samples_suppressed);
-  reg->set_total(m.samples_corrupted, report.samples_corrupted);
-  reg->set_total(m.crash_events, report.crash_events);
-  reg->set_total(m.recovery_events, report.recovery_events);
-  reg->set_total(m.commands_lost, report.commands_lost);
-  reg->set_total(m.commands_rebooting, report.commands_rebooting);
-  reg->set_total(m.transitions_failed, report.transitions_failed);
-  reg->set_total(m.transitions_partial, report.transitions_partial);
-  reg->set_total(m.reboot_events, report.reboot_events);
-  reg->set_total(m.commands_abandoned, report.commands_abandoned);
-  reg->set_total(m.commands_clamped, report.commands_clamped);
-  reg->set_total(m.ctrl_outage_events, report.ctrl_outages);
-  reg->set_total(m.ctrl_outage_cycles, report.ctrl_outage_cycles);
-  reg->set_total(m.ctrl_delayed_cycles, report.ctrl_delayed_cycles);
-  reg->set_total(m.ctrl_zone_outage_cycles, report.ctrl_zone_outage_cycles);
-
   reg->add(m.watchdog_adoptions, report.watchdog_adoptions);
   reg->add(m.telemetry_sweeps, sweeps);
   reg->add(m.context_skips, context_skips);
 
-  reg->set_total(m.predictor_overshoots, report.predictor_overshoots);
-  reg->set_total(m.predictor_misses, report.predictor_misses);
-  reg->set_total(m.predictive_elevations, report.predictive_elevations);
   reg->set(m.predictor_forecast_watts,
            report.has_forecast ? report.forecast.value() : 0.0);
   reg->set(m.predictor_abs_error_watts,
            report.forecast_scored ? report.forecast_abs_error : 0.0);
-
   reg->set(m.measured_watts, report.measured.value());
   reg->set(m.p_low_watts, report.p_low.value());
   reg->set(m.p_high_watts, report.p_high.value());
-  reg->set(m.commands_in_flight,
-           static_cast<double>(report.commands_in_flight));
-  reg->set(m.unresponsive_nodes, static_cast<double>(unresponsive_now));
-  reg->set(m.agents_down, static_cast<double>(report.agents_down));
-  reg->set(m.orphan_zones, static_cast<double>(report.zones_down));
+
+  // Lifetime ground truth belongs to the shards' collectors, injectors,
+  // channels, reconcilers and controllers: mirror it, don't accumulate,
+  // or resets and replays would double-count.
+  std::uint64_t lost = 0, suppressed = 0, corrupted = 0, crashes = 0,
+                recoveries = 0, agents_down = 0, commands_lost = 0,
+                rebooting = 0, failed = 0, partial = 0, reboots = 0,
+                abandoned = 0, clamped = 0, in_flight = 0, unresponsive = 0;
+  for (const CappingManager* shard : shards) {
+    const telemetry::Collector& collector = shard->collector();
+    const telemetry::FaultInjector& faults = collector.fault_injector();
+    const ActuationChannel& channel = shard->actuation_channel();
+    lost += collector.samples_lost();
+    suppressed += collector.samples_suppressed();
+    corrupted += faults.samples_corrupted();
+    crashes += faults.crash_events();
+    recoveries += faults.recovery_events();
+    agents_down += faults.silent_count();
+    commands_lost += channel.commands_lost();
+    rebooting += channel.commands_dropped_rebooting();
+    failed += channel.transitions_failed();
+    partial += channel.transitions_partial();
+    reboots += channel.reboot_events();
+    abandoned += shard->reconciler().total_abandoned();
+    clamped += shard->controller().commands_clamped();
+    in_flight += shard->reconciler().pending_count();
+    unresponsive += shard->reconciler().unresponsive_count();
+  }
+  reg->set_total(m.samples_lost, lost);
+  reg->set_total(m.samples_suppressed, suppressed);
+  reg->set_total(m.samples_corrupted, corrupted);
+  reg->set_total(m.crash_events, crashes);
+  reg->set_total(m.recovery_events, recoveries);
+  reg->set_total(m.commands_lost, commands_lost);
+  reg->set_total(m.commands_rebooting, rebooting);
+  reg->set_total(m.transitions_failed, failed);
+  reg->set_total(m.transitions_partial, partial);
+  reg->set_total(m.reboot_events, reboots);
+  reg->set_total(m.commands_abandoned, abandoned);
+  reg->set_total(m.commands_clamped, clamped);
+  reg->set(m.commands_in_flight, static_cast<double>(in_flight));
+  reg->set(m.unresponsive_nodes, static_cast<double>(unresponsive));
+  reg->set(m.agents_down, static_cast<double>(agents_down));
+
+  // The root owns the control-fault windows (a zone tree clears its
+  // shards' injectors), the forecast scorer and the elevation count.
+  reg->set_total(m.ctrl_outage_events, control.outages_started());
+  reg->set_total(m.ctrl_outage_cycles, control.outage_cycles());
+  reg->set_total(m.ctrl_delayed_cycles, control.delayed_cycles());
+  reg->set_total(m.ctrl_zone_outage_cycles, control.zone_outage_cycles());
+  reg->set(m.orphan_zones, static_cast<double>(control.zones_down()));
+  reg->set_total(m.predictor_overshoots, scorer.overshoots());
+  reg->set_total(m.predictor_misses, scorer.misses());
+  reg->set_total(m.predictive_elevations, predictive_elevations);
+}
+
+bool forecast_phase(RootForecaster& forecaster, ManagerReport& report) {
+  const std::optional<ForecastScorer::Score> score =
+      forecaster.observe(report.measured, report.p_low);
+  if (score) {
+    report.forecast_abs_error = score->abs_error;
+    report.forecast_scored = true;
+  }
+  const std::optional<Watts> forecast = forecaster.current_forecast();
+  report.has_forecast = forecast.has_value();
+  if (forecast) report.forecast = *forecast;
+  return forecast && *forecast >= report.p_low;
+}
+
+void CappingManager::publish(const ManagerReport& report, std::size_t sweeps,
+                             std::size_t context_skips) {
+  const CappingManager* const self = this;
+  metrics_.publish(report, sweeps, context_skips, {&self, 1}, ctrl_faults_,
+                   forecaster_.forecast_scorer(),
+                   engine_.predictive_elevations());
 }
 
 void CappingManager::bind_metrics(obs::Registry& reg) { metrics_.bind(reg); }
@@ -664,68 +707,6 @@ void CappingManager::stamp_delivery_contacts() {
   }
 }
 
-void CappingManager::fill_telemetry_totals(ManagerReport& report) const {
-  // Fault/transport ground truth is cumulative collector state — cheap to
-  // read and meaningful on every path, including training, steady green
-  // and controller outages where no context is assembled.
-  report.samples_lost = collector_.samples_lost();
-  report.samples_suppressed = collector_.samples_suppressed();
-  const telemetry::FaultInjector& faults = collector_.fault_injector();
-  report.samples_corrupted = faults.samples_corrupted();
-  report.crash_events = faults.crash_events();
-  report.recovery_events = faults.recovery_events();
-  report.agents_down = faults.silent_count();
-}
-
-void CappingManager::fill_actuation_totals(ManagerReport& report) const {
-  report.commands_lost = channel_.commands_lost();
-  report.commands_rebooting = channel_.commands_dropped_rebooting();
-  report.transitions_failed = channel_.transitions_failed();
-  report.transitions_partial = channel_.transitions_partial();
-  report.reboot_events = channel_.reboot_events();
-  report.commands_abandoned = reconciler_.total_abandoned();
-  report.commands_clamped = controller_.commands_clamped();
-  report.commands_in_flight = reconciler_.pending_count();
-}
-
-void CappingManager::predictor_phase(Watts measured, ManagerReport& report) {
-  if (!predictor_) return;
-  predictor_->observe(measured);
-  ++predictor_observations_;
-  if (auto* periodic = dynamic_cast<PeriodicityPredictor*>(predictor_.get());
-      periodic != nullptr &&
-      predictor_observations_ % predictor_refresh_cycles_ == 0) {
-    // The only super-O(1) model work, scheduled on the learner's t_p
-    // cadence — never on the per-cycle hot path.
-    periodic->refresh();
-  }
-  forecast_ = predictor_->forecast(params_.prediction.horizon_cycles);
-  std::optional<double> raw;
-  if (forecast_) raw = forecast_->value();
-  const std::optional<ForecastScorer::Score> score =
-      scorer_.step(measured.value(), learner_.p_low().value(), raw);
-  if (score) {
-    report.forecast_abs_error = score->abs_error;
-    report.forecast_scored = true;
-  }
-  report.has_forecast = forecast_.has_value();
-  if (forecast_) report.forecast = *forecast_;
-}
-
-void CappingManager::fill_predictor_totals(ManagerReport& report) const {
-  report.predictor_overshoots = scorer_.overshoots();
-  report.predictor_misses = scorer_.misses();
-  report.predictive_elevations = engine_.predictive_elevations();
-}
-
-void CappingManager::fill_control_totals(ManagerReport& report) const {
-  report.ctrl_outages = ctrl_faults_.outages_started();
-  report.ctrl_outage_cycles = ctrl_faults_.outage_cycles();
-  report.ctrl_delayed_cycles = ctrl_faults_.delayed_cycles();
-  report.ctrl_zone_outage_cycles = ctrl_faults_.zone_outage_cycles();
-  report.zones_down = ctrl_faults_.zones_down();
-}
-
 ManagerReport CappingManager::dead_cycle(Watts measured,
                                          std::vector<hw::Node>& nodes,
                                          const sched::Scheduler& scheduler,
@@ -746,16 +727,12 @@ ManagerReport CappingManager::dead_cycle(Watts measured,
   // clock ticks so per-slot sample ages stay well-defined at recovery.
   collect_phase(false, nodes, now, scheduler.running_count());
   report.manager_utilization = collector_.last_cycle_manager_utilization();
-  fill_telemetry_totals(report);
   // Hardware does not pause with the controller: reboots happen and
   // already-sent delayed commands still land (stamping watchdog contacts
   // — the node cannot tell the sender is dead).
   begin_actuation_phase(nodes);
   report.transitions = apply_deliveries(nodes);
-  fill_actuation_totals(report);
-  fill_control_totals(report);
-  fill_predictor_totals(report);
-  metrics_.publish(report, reconciler_.unresponsive_count(), 0, 0);
+  publish(report, 0, 0);
   return report;
 }
 
@@ -807,10 +784,8 @@ CappingManager::CycleOpening CappingManager::open_cycle(
   // 1b. Forecasting: model update + this cycle's forecast. Runs during
   // training too (the model is warm the moment capping starts), but only
   // arms the predictive path once training is over.
-  predictor_phase(measured, report);
-  const bool predictive_alarm =
-      !report.training && forecast_.has_value() &&
-      policy_->forecast_driven() && *forecast_ >= report.p_low;
+  const bool predictive_alarm = forecast_phase(forecaster_, report) &&
+                                !report.training && policy_->forecast_driven();
 
   // 2. Telemetry sweep over A_candidate — or, on a quiet green cycle
   // between stride marks, just a clock tick. The collect gate is
@@ -829,8 +804,6 @@ CappingManager::CycleOpening CappingManager::open_cycle(
     collect_phase(opening.swept, nodes, now, scheduler.running_count());
   }
   report.manager_utilization = collector_.last_cycle_manager_utilization();
-
-  fill_telemetry_totals(report);
 
   // 2b. The context decision, once, after the sweep (the telemetry
   // clauses read it) and before begin_actuation_phase (the reconciler
@@ -852,11 +825,7 @@ CappingManager::CycleOpening CappingManager::open_cycle(
   // 3. During training the system runs unmanaged (§V.C).
   if (report.training) {
     apply_deliveries(nodes);
-    fill_actuation_totals(report);
-    fill_control_totals(report);
-    fill_predictor_totals(report);
-    metrics_.publish(report, reconciler_.unresponsive_count(),
-                     opening.swept ? 1 : 0, 0);
+    publish(report, opening.swept ? 1 : 0, 0);
     opening.closed = true;
   }
   return opening;
@@ -889,9 +858,8 @@ ManagerReport CappingManager::close_cycle(CycleOpening& opening,
   // the forecast-driven policies read it from here. When the alarm is
   // armed the context above was just rebuilt, so the selection acts on
   // data as fresh as any reactive yellow cycle's.
-  scratch_ctx_.has_forecast = !report.training && forecast_.has_value();
-  scratch_ctx_.forecast_power =
-      forecast_.has_value() ? *forecast_ : Watts{0.0};
+  scratch_ctx_.has_forecast = !report.training && report.has_forecast;
+  scratch_ctx_.forecast_power = report.forecast;
   CycleDecision decision;
   {
     const obs::SpanTimer::Scope span = metrics_.policy_span.start();
@@ -911,11 +879,7 @@ ManagerReport CappingManager::close_cycle(CycleOpening& opening,
   report.retries = recon_work_.retries;
   report.divergences = recon_work_.divergences;
   report.heals = recon_work_.heals;
-  fill_actuation_totals(report);
-  fill_control_totals(report);
-  fill_predictor_totals(report);
-  metrics_.publish(report, reconciler_.unresponsive_count(),
-                   opening.swept ? 1 : 0, skipped ? 1 : 0);
+  publish(report, opening.swept ? 1 : 0, skipped ? 1 : 0);
   return report;
 }
 
@@ -939,15 +903,7 @@ ShardCheckpoint CappingManager::checkpoint() const {
     }
   }
   cp.collector_cycles = collector_.cycle_count();
-  // The observation counter rides in front of the opaque model state so
-  // the restored refresh cadence stays phase-aligned with the old run.
-  if (predictor_) {
-    cp.predictor_state.push_back(
-        static_cast<double>(predictor_observations_));
-    const std::vector<double> model = predictor_->checkpoint_state();
-    cp.predictor_state.insert(cp.predictor_state.end(), model.begin(),
-                              model.end());
-  }
+  cp.predictor_state = forecaster_.checkpoint_state();
   cp.policy_state = policy_->checkpoint_state();
   return cp;
 }
@@ -956,13 +912,7 @@ void CappingManager::restore(const ShardCheckpoint& cp) {
   learner_.restore(cp.learner);
   engine_.restore(cp.engine);
   reconciler_.restore(cp.reconciler);
-  if (predictor_ && !cp.predictor_state.empty()) {
-    predictor_observations_ =
-        static_cast<std::int64_t>(cp.predictor_state[0]);
-    predictor_->restore_state(std::vector<double>(
-        cp.predictor_state.begin() + 1, cp.predictor_state.end()));
-    forecast_ = predictor_->forecast(params_.prediction.horizon_cycles);
-  }
+  forecaster_.restore_state(cp.predictor_state);
   if (!cp.policy_state.empty()) policy_->restore_state(cp.policy_state);
   // Believed/observed stamps in the restored shadow tables are in the
   // checkpointed collector timebase; resume the clock there or every ack

@@ -13,10 +13,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
-
-#include <optional>
 
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
@@ -41,7 +41,10 @@ namespace pcap::power {
 
 struct ShardCheckpoint;  // power/checkpoint.hpp
 
-/// What one control cycle did — recorded by experiments per cycle.
+/// What one control cycle did — recorded by experiments per cycle. It
+/// carries only this cycle: lifetime totals (faults, transport, forecast
+/// accuracy) stay with their owners, and ManagerMetrics mirrors them into
+/// the registry from there.
 struct ManagerReport {
   PowerState state = PowerState::kGreen;
   Watts measured{0.0};
@@ -67,27 +70,7 @@ struct ManagerReport {
   std::size_t retries = 0;      ///< unacked commands re-sent
   std::size_t divergences = 0;  ///< observed level != believed level
   std::size_t heals = 0;        ///< healing commands emitted
-  std::size_t commands_in_flight = 0;  ///< unacked commands after actuation
   std::size_t unresponsive_nodes = 0;  ///< candidates dropped: no acks left
-
-  // Cumulative fault/transport ground truth (collector + injector
-  // lifetime totals; filled every cycle, including steady green).
-  std::uint64_t samples_lost = 0;        ///< dropped by the transport
-  std::uint64_t samples_suppressed = 0;  ///< never left the node
-  std::uint64_t samples_corrupted = 0;   ///< delivered with garbage power
-  std::uint64_t crash_events = 0;
-  std::uint64_t recovery_events = 0;
-  std::size_t agents_down = 0;  ///< nodes currently silent
-
-  // Cumulative actuation-plane ground truth (channel + reconciler +
-  // controller lifetime totals; filled every cycle).
-  std::uint64_t commands_lost = 0;       ///< dropped in transit
-  std::uint64_t commands_rebooting = 0;  ///< dropped at a rebooting node
-  std::uint64_t transitions_failed = 0;  ///< delivered, DVFS switch failed
-  std::uint64_t transitions_partial = 0; ///< delivered, landed part-way
-  std::uint64_t reboot_events = 0;
-  std::uint64_t commands_abandoned = 0;  ///< retry budget exhausted
-  std::uint64_t commands_clamped = 0;    ///< request clamped by the node
 
   // Forecasting (managers running a PowerPredictor; all-zero otherwise).
   bool has_forecast = false;  ///< a forecast informed this cycle
@@ -96,29 +79,23 @@ struct ManagerReport {
   /// (made horizon cycles ago); valid only when forecast_scored.
   double forecast_abs_error = 0.0;
   bool forecast_scored = false;
-  // Cumulative predictor ground truth (scorer/engine lifetime totals).
-  std::uint64_t predictor_overshoots = 0;  ///< false alarms (pred>=P_L, real<P_L)
-  std::uint64_t predictor_misses = 0;      ///< unseen ramps (pred<P_L, real>=P_L)
-  std::uint64_t predictive_elevations = 0; ///< green cycles promoted to yellow
 
   // Control-plane failure domain (see power/control_fault_injector.hpp).
   bool controller_down = false;  ///< root controller silent this cycle
-  std::size_t zones_down = 0;    ///< zone shards silent this cycle
   /// Failsafe watchdog levels the reconciler adopted as reality this
   /// cycle (zero divergence warnings for them by construction).
   std::size_t watchdog_adoptions = 0;
-  // Cumulative control-fault ground truth (injector lifetime totals).
-  std::uint64_t ctrl_outages = 0;  ///< root outage windows started
-  std::uint64_t ctrl_outage_cycles = 0;
-  std::uint64_t ctrl_delayed_cycles = 0;
-  std::uint64_t ctrl_zone_outage_cycles = 0;
 };
+
+class CappingManager;
 
 /// Registry bindings shared by every capping-style manager (the flat
 /// CappingManager and the zone tree publish the same series, so
 /// experiment extraction reads one schema whichever control plane ran).
 /// Handles are preregistered by bind(), so publish() performs only array
-/// stores; everything is inert until a registry is bound.
+/// stores; everything is inert until a registry is bound. Lifetime
+/// totals and instantaneous tallies are read from the objects that own
+/// them, never copied through ManagerReport.
 struct ManagerMetrics {
   obs::Registry* reg = nullptr;
   // Per-cycle accumulators (counter += report value each cycle).
@@ -149,14 +126,23 @@ struct ManagerMetrics {
   obs::SpanTimer collect_span, context_span, policy_span, actuate_span;
 
   void bind(obs::Registry& registry);
-  /// Pushes one cycle's report into the registry (no-op when unbound).
-  /// `unresponsive_now` is the instantaneous reconciler tally; `sweeps`
-  /// and `context_skips` count this cycle's real telemetry sweeps and
-  /// skipped context builds (all three summed across shards by the zone
-  /// tree).
-  void publish(const ManagerReport& report, std::size_t unresponsive_now,
-               std::size_t sweeps, std::size_t context_skips);
+  /// Pushes one cycle into the registry (no-op when unbound): `report`
+  /// and this cycle's real telemetry sweeps and skipped context builds
+  /// are accumulated; the mirrored series read their owners — `shards`
+  /// (the flat manager itself, or every zone) summed in order, and the
+  /// root's control-fault injector, scorer and elevation count.
+  void publish(const ManagerReport& report, std::size_t sweeps,
+               std::size_t context_skips,
+               std::span<const CappingManager* const> shards,
+               const ControlFaultInjector& control,
+               const ForecastScorer& scorer,
+               std::uint64_t predictive_elevations);
 };
+
+/// RootForecaster::observe on report.measured against report.p_low, with
+/// the forecast fields of `report` stamped from it. Returns whether the
+/// forecast reaches P_L (the predictive alarm, before the policy gates).
+bool forecast_phase(RootForecaster& forecaster, ManagerReport& report);
 
 class PowerManagerBase {
  public:
@@ -290,8 +276,7 @@ class CappingManager final : public PowerManagerBase {
                             const sched::Scheduler& scheduler);
 
   /// Preregisters every manager series (counters, gauges, cycle-phase
-  /// spans) in `reg`. ManagerReport and the trace CSV then become views
-  /// over the values the registry accumulates — see DESIGN.md §11.
+  /// spans) in `reg` — see DESIGN.md §11.
   void bind_metrics(obs::Registry& reg) override;
 
   /// The pool parallelises both the telemetry sweep and context assembly
@@ -330,17 +315,9 @@ class CappingManager final : public PowerManagerBase {
   [[nodiscard]] const TargetSelectionPolicy& policy() const {
     return *policy_;
   }
-  /// The forecaster, or nullptr when params.prediction is disabled.
-  [[nodiscard]] const PowerPredictor* predictor() const {
-    return predictor_.get();
-  }
-  /// The forecast made this cycle for horizon cycles ahead (empty before
-  /// the predictor warms up, on dead cycles, or without a predictor).
-  [[nodiscard]] std::optional<Watts> current_forecast() const {
-    return forecast_;
-  }
-  [[nodiscard]] const ForecastScorer& forecast_scorer() const {
-    return scorer_;
+  /// The forecaster (inert when params.prediction is disabled).
+  [[nodiscard]] const RootForecaster& forecaster() const {
+    return forecaster_;
   }
 
   /// Gated cycles whose context build was skipped (lifetime total).
@@ -491,18 +468,9 @@ class CappingManager final : public PowerManagerBase {
   ManagerReport dead_cycle(Watts measured, std::vector<hw::Node>& nodes,
                            const sched::Scheduler& scheduler, Seconds now);
 
-  /// Feeds the meter reading through the predictor (model update, t_p
-  /// spectrum refresh, fresh forecast, accuracy scoring) and stamps the
-  /// forecast fields of `report`. No-op without a predictor. Runs only on
-  /// live cycles — a dead controller reads no meter, so the predictor's
-  /// window freezes mid-outage exactly like the learner's.
-  void predictor_phase(Watts measured, ManagerReport& report);
-
-  /// Report-filling helpers shared by the live and dead paths.
-  void fill_telemetry_totals(ManagerReport& report) const;
-  void fill_actuation_totals(ManagerReport& report) const;
-  void fill_control_totals(ManagerReport& report) const;
-  void fill_predictor_totals(ManagerReport& report) const;
+  /// metrics_.publish over this manager as its only shard.
+  void publish(const ManagerReport& report, std::size_t sweeps,
+               std::size_t context_skips);
 
   /// Stamps watchdog contact for every command in delivered_scratch_ —
   /// a delivery is the one controller signal a node can see directly.
@@ -579,15 +547,9 @@ class CappingManager final : public PowerManagerBase {
   // "collector" and "actuation": the new stream must not perturb either
   // existing one, or every pre-PR-8 seed would replay differently.
   ControlFaultInjector ctrl_faults_;
-  /// Forecasting (params_.prediction.enabled). The predictor is fed the
-  /// facility meter on every live cycle; forecast_ is this cycle's output.
-  PredictorPtr predictor_;
-  ForecastScorer scorer_;
-  std::optional<Watts> forecast_;
-  /// Resolved spectrum refresh cadence (params value, or the learner's
-  /// t_p when configured 0); counts live observations.
-  std::int64_t predictor_refresh_cycles_ = 0;
-  std::int64_t predictor_observations_ = 0;
+  /// Forecasting (params_.prediction.enabled), fed the facility meter on
+  /// every live cycle.
+  RootForecaster forecaster_;
   hw::FailsafeWatchdog* watchdog_ = nullptr;
   std::size_t watchdog_group_ = 0;
   /// True when this manager owns the watchdog's grouping (flat mode);

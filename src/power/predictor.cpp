@@ -255,4 +255,48 @@ std::optional<ForecastScorer::Score> ForecastScorer::step(
   return out;
 }
 
+// -- RootForecaster ------------------------------------------------------
+
+RootForecaster::RootForecaster(const PredictionParams& params,
+                               std::int64_t adjust_period_cycles) {
+  if (!params.enabled) return;
+  predictor_ = make_predictor(params);
+  horizon_cycles_ = params.horizon_cycles;
+  refresh_cycles_ =
+      params.refresh_cycles > 0 ? params.refresh_cycles : adjust_period_cycles;
+  scorer_.reset(horizon_cycles_);
+}
+
+std::optional<ForecastScorer::Score> RootForecaster::observe(Watts measured,
+                                                             Watts p_low) {
+  if (!predictor_) return std::nullopt;
+  predictor_->observe(measured);
+  ++observations_;
+  if (auto* periodic = dynamic_cast<PeriodicityPredictor*>(predictor_.get());
+      periodic != nullptr && observations_ % refresh_cycles_ == 0) {
+    // The only super-O(1) model work, scheduled on the learner's t_p
+    // cadence — never on the per-cycle hot path.
+    periodic->refresh();
+  }
+  forecast_ = predictor_->forecast(horizon_cycles_);
+  std::optional<double> raw;
+  if (forecast_) raw = forecast_->value();
+  return scorer_.step(measured.value(), p_low.value(), raw);
+}
+
+std::vector<double> RootForecaster::checkpoint_state() const {
+  if (!predictor_) return {};
+  std::vector<double> state{static_cast<double>(observations_)};
+  const std::vector<double> model = predictor_->checkpoint_state();
+  state.insert(state.end(), model.begin(), model.end());
+  return state;
+}
+
+void RootForecaster::restore_state(const std::vector<double>& state) {
+  if (!predictor_ || state.empty()) return;
+  observations_ = static_cast<std::int64_t>(state[0]);
+  predictor_->restore_state(std::vector<double>(state.begin() + 1, state.end()));
+  forecast_ = predictor_->forecast(horizon_cycles_);
+}
+
 }  // namespace pcap::power

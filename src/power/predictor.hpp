@@ -184,4 +184,51 @@ class ForecastScorer {
   std::uint64_t scored_ = 0;
 };
 
+/// The forecasting a capping control plane's root owns — the flat
+/// manager and the zone tree alike: the predictor, its spectrum refresh
+/// cadence, this cycle's forecast and the accuracy scorer. Inert (no
+/// predictor, never a forecast) when the params are disabled.
+class RootForecaster {
+ public:
+  /// refresh_cycles == 0 resolves to `adjust_period_cycles` (the
+  /// threshold learner's t_p).
+  RootForecaster(const PredictionParams& params,
+                 std::int64_t adjust_period_cycles);
+
+  /// One live cycle: model update, spectrum refresh when due, a fresh
+  /// forecast, and scoring against `p_low`; returns the score of the
+  /// forecast that targeted this cycle. Dead cycles skip it — a dead
+  /// controller reads no meter, so the window freezes like the learner's.
+  std::optional<ForecastScorer::Score> observe(Watts measured, Watts p_low);
+
+  /// Nullptr when prediction is disabled.
+  [[nodiscard]] const PowerPredictor* predictor() const {
+    return predictor_.get();
+  }
+  /// This cycle's forecast, horizon cycles ahead (empty while warming up
+  /// or without a predictor).
+  [[nodiscard]] std::optional<Watts> current_forecast() const {
+    return forecast_;
+  }
+  [[nodiscard]] const ForecastScorer& forecast_scorer() const {
+    return scorer_;
+  }
+
+  /// Warm-restart image: the observation count (keeping the refresh
+  /// cadence phase-aligned) in front of the model state; empty without a
+  /// predictor. The scorer is process-scoped and not part of it.
+  [[nodiscard]] std::vector<double> checkpoint_state() const;
+  /// Restores an image and re-derives the forecast; an empty image is a
+  /// no-op.
+  void restore_state(const std::vector<double>& state);
+
+ private:
+  PredictorPtr predictor_;
+  ForecastScorer scorer_;
+  std::optional<Watts> forecast_;
+  std::int64_t horizon_cycles_ = 0;
+  std::int64_t refresh_cycles_ = 0;
+  std::int64_t observations_ = 0;
+};
+
 }  // namespace pcap::power

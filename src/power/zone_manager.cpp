@@ -42,7 +42,10 @@ ZoneTreeManager::ZoneTreeManager(ZoneTreeParams params,
                                  CappingManagerParams shard_params,
                                  std::function<PolicyPtr()> policy_factory,
                                  common::Rng rng)
-    : params_(params), learner_(shard_params.thresholds) {
+    : params_(params),
+      learner_(shard_params.thresholds),
+      forecaster_(shard_params.prediction,
+                  shard_params.thresholds.adjust_period_cycles) {
   if (params_.zone_count < 1) {
     throw std::invalid_argument("ZoneTreeManager: zone_count must be >= 1");
   }
@@ -68,22 +71,13 @@ ZoneTreeManager::ZoneTreeManager(ZoneTreeParams params,
   // of their own (their "meter" input is the global reading anyway).
   zp.prediction = PredictionParams{};
   orphan_margin_ = shard_params.stale_power_margin;
-  prediction_ = shard_params.prediction;
-  if (prediction_.enabled) {
-    prediction_.validate();
-    predictor_ = make_predictor(prediction_);
-    predictor_refresh_cycles_ =
-        prediction_.refresh_cycles > 0
-            ? prediction_.refresh_cycles
-            : shard_params.thresholds.adjust_period_cycles;
-    scorer_.reset(prediction_.horizon_cycles);
-  }
   zones_.resize(params_.zone_count);
   for (std::size_t z = 0; z < zones_.size(); ++z) {
     // One rng branch per zone: zone z's fault/transport streams depend
     // only on (seed, z), not on the zone count or membership.
     zones_[z].shard = std::make_unique<CappingManager>(
         zp, policy_factory(), rng.fork("zone" + std::to_string(z)));
+    shards_.push_back(zones_[z].shard.get());
   }
   // Forked after every zone branch so enabling/disabling control faults —
   // or adding this fork at all — cannot perturb the zone streams existing
@@ -195,14 +189,12 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
   report.state = classify_power(measured, report.p_low, report.p_high);
   const PowerState state = report.state;
 
-  // Root forecasting (the flat manager's step 1b): model update + this
-  // cycle's forecast. Runs during training too — the model is warm the
-  // moment capping starts — but only arms the predictive path after.
-  if (!root_down) predictor_phase(measured, report);
+  // Root forecasting (the flat manager's step 1b) on live root cycles: a
+  // dead root reads no meter. Runs during training too — the model is warm
+  // the moment capping starts — but only arms the predictive path after.
   const bool predictive_alarm =
-      !root_down && !report.training && forecast_.has_value() &&
-      zones_.front().shard->policy().forecast_driven() &&
-      *forecast_ >= report.p_low;
+      !root_down && forecast_phase(forecaster_, report) && !report.training &&
+      zones_.front().shard->policy().forecast_driven();
 
   // Predictive elevation: a green root cycle with an armed alarm drives
   // the zones down the yellow deficit-distribution path, shedding for
@@ -345,49 +337,13 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
     }
   }
 
-  const auto fill_totals = [&] {
-    double utilization = 0.0;
-    for (Zone& zone : zones_) {
-      const CappingManager& m = *zone.shard;
-      utilization += m.collector().last_cycle_manager_utilization();
-      report.samples_lost += m.collector().samples_lost();
-      report.samples_suppressed += m.collector().samples_suppressed();
-      const telemetry::FaultInjector& faults = m.collector().fault_injector();
-      report.samples_corrupted += faults.samples_corrupted();
-      report.crash_events += faults.crash_events();
-      report.recovery_events += faults.recovery_events();
-      report.agents_down += faults.silent_count();
-      report.commands_lost += m.actuation_channel().commands_lost();
-      report.commands_rebooting +=
-          m.actuation_channel().commands_dropped_rebooting();
-      report.transitions_failed += m.actuation_channel().transitions_failed();
-      report.transitions_partial +=
-          m.actuation_channel().transitions_partial();
-      report.reboot_events += m.actuation_channel().reboot_events();
-      report.commands_abandoned += m.reconciler().total_abandoned();
-      report.commands_clamped += m.controller().commands_clamped();
-      report.commands_in_flight += m.reconciler().pending_count();
-    }
-    report.manager_utilization = utilization;
-    // Control-plane fault truth lives in the tree's injector (the shards'
-    // own injectors are cleared at construction and count nothing).
-    report.zones_down = ctrl_faults_->zones_down();
-    report.predictor_overshoots = scorer_.overshoots();
-    report.predictor_misses = scorer_.misses();
-    report.predictive_elevations = predictive_elevations_;
-    report.ctrl_outages = ctrl_faults_->outages_started();
-    report.ctrl_outage_cycles = ctrl_faults_->outage_cycles();
-    report.ctrl_delayed_cycles = ctrl_faults_->delayed_cycles();
-    report.ctrl_zone_outage_cycles = ctrl_faults_->zone_outage_cycles();
-  };
-
   const auto publish = [&] {
-    std::size_t unresponsive_now = 0;
     std::size_t active = 0;
     std::size_t sweeps = 0;
     std::size_t skips = 0;
     for (Zone& zone : zones_) {
-      unresponsive_now += zone.shard->reconciler().unresponsive_count();
+      report.manager_utilization +=
+          zone.shard->collector().last_cycle_manager_utilization();
       if (zone.active) ++active;
       if (zone.collected) ++sweeps;
       if (zone.skipped) ++skips;
@@ -399,13 +355,13 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
       }
     }
     active_last_cycle_ = active;
-    metrics_.publish(report, unresponsive_now, sweeps, skips);
+    metrics_.publish(report, sweeps, skips, shards_, *ctrl_faults_,
+                     forecaster_.forecast_scorer(), predictive_elevations_);
   };
 
   // Training: the system runs unmanaged — only due deliveries land.
   if (training) {
     for (Zone& zone : zones_) zone.shard->apply_deliveries(nodes);
-    fill_totals();
     publish();
     return report;
   }
@@ -462,8 +418,8 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
     // drops below the measured reading: a forecast that undershoots
     // reality can't shrink the reactive response.
     Watts deficit_base = measured;
-    if (predictive_alarm && *forecast_ > deficit_base) {
-      deficit_base = *forecast_;
+    if (predictive_alarm && report.forecast > deficit_base) {
+      deficit_base = report.forecast;
     }
     Watts deficit = std::max(Watts{0.0}, deficit_base - report.p_low);
     // Orphan-zone adoption: a downed shard cannot shed its share, and the
@@ -595,47 +551,14 @@ ManagerReport ZoneTreeManager::cycle(Watts measured,
     report.heals += work.heals;
     report.watchdog_adoptions += zone.report.watchdog_adoptions;
   }
-  fill_totals();
   publish();
   return report;
-}
-
-void ZoneTreeManager::predictor_phase(Watts measured, ManagerReport& report) {
-  if (!predictor_) return;
-  predictor_->observe(measured);
-  ++predictor_observations_;
-  if (auto* periodic = dynamic_cast<PeriodicityPredictor*>(predictor_.get());
-      periodic != nullptr &&
-      predictor_observations_ % predictor_refresh_cycles_ == 0) {
-    // The only super-O(1) model work, scheduled on the root learner's t_p
-    // cadence — never on the per-cycle hot path.
-    periodic->refresh();
-  }
-  forecast_ = predictor_->forecast(prediction_.horizon_cycles);
-  std::optional<double> raw;
-  if (forecast_) raw = forecast_->value();
-  const std::optional<ForecastScorer::Score> score =
-      scorer_.step(measured.value(), learner_.p_low().value(), raw);
-  if (score) {
-    report.forecast_abs_error = score->abs_error;
-    report.forecast_scored = true;
-  }
-  report.has_forecast = forecast_.has_value();
-  if (forecast_) report.forecast = *forecast_;
 }
 
 TreeCheckpoint ZoneTreeManager::checkpoint() const {
   TreeCheckpoint cp;
   cp.learner = learner_.checkpoint();
-  // The observation counter rides in front of the opaque model state so
-  // the restored refresh cadence stays phase-aligned with the old run.
-  if (predictor_) {
-    cp.predictor_state.push_back(
-        static_cast<double>(predictor_observations_));
-    const std::vector<double> model = predictor_->checkpoint_state();
-    cp.predictor_state.insert(cp.predictor_state.end(), model.begin(),
-                              model.end());
-  }
+  cp.predictor_state = forecaster_.checkpoint_state();
   cp.last_state = static_cast<int>(last_state_);
   cp.job_events_seen = job_events_seen_;
   cp.shards.reserve(zones_.size());
@@ -662,13 +585,7 @@ void ZoneTreeManager::restore(const TreeCheckpoint& cp) {
         std::to_string(zones_.size()) + ")");
   }
   learner_.restore(cp.learner);
-  if (predictor_ && !cp.predictor_state.empty()) {
-    predictor_observations_ =
-        static_cast<std::int64_t>(cp.predictor_state[0]);
-    predictor_->restore_state(std::vector<double>(
-        cp.predictor_state.begin() + 1, cp.predictor_state.end()));
-    forecast_ = predictor_->forecast(prediction_.horizon_cycles);
-  }
+  forecaster_.restore_state(cp.predictor_state);
   last_state_ = static_cast<PowerState>(cp.last_state);
   job_events_seen_ = cp.job_events_seen;
   for (std::size_t z = 0; z < zones_.size(); ++z) {

@@ -144,17 +144,11 @@ class ZoneTreeManager final : public PowerManagerBase {
     return learner_;
   }
   [[nodiscard]] ThresholdLearner& thresholds() { return learner_; }
-  /// The root forecaster, or nullptr when shard_params.prediction is
-  /// disabled. Prediction runs at the root only — the shards' params are
+  /// The root forecaster (inert when shard_params.prediction is
+  /// disabled). Prediction runs at the root only — the shards' params are
   /// cleared at construction, exactly like their control-fault injectors.
-  [[nodiscard]] const PowerPredictor* predictor() const {
-    return predictor_.get();
-  }
-  [[nodiscard]] std::optional<Watts> current_forecast() const {
-    return forecast_;
-  }
-  [[nodiscard]] const ForecastScorer& forecast_scorer() const {
-    return scorer_;
+  [[nodiscard]] const RootForecaster& forecaster() const {
+    return forecaster_;
   }
   /// Green root cycles promoted to the yellow deficit-distribution path
   /// by a forecast (lifetime total).
@@ -211,27 +205,17 @@ class ZoneTreeManager final : public PowerManagerBase {
   void invalidate_hints();
   /// Re-derives the watchdog's group partition (group z = zone z members).
   void refresh_watchdog_groups();
-  /// Root forecasting: model update on the facility meter, t_p spectrum
-  /// refresh, fresh forecast, accuracy scoring, report stamps. No-op
-  /// without a predictor; called on live root cycles only (a dead root
-  /// reads no meter, so the predictor window freezes like the learner's).
-  void predictor_phase(Watts measured, ManagerReport& report);
 
   ZoneTreeParams params_;
   ThresholdLearner learner_;  ///< the root's (only live) learner
-  /// Root forecasting (shard_params.prediction). The predictor sees the
-  /// facility meter on every live root cycle; forecast_ is this cycle's
-  /// output, consumed by the deficit fold and the elevation gate.
-  PredictionParams prediction_;
-  PredictorPtr predictor_;
-  ForecastScorer scorer_;
-  std::optional<Watts> forecast_;
-  /// Resolved spectrum refresh cadence (param value, or the root
-  /// learner's t_p when configured 0); counts live observations.
-  std::int64_t predictor_refresh_cycles_ = 0;
-  std::int64_t predictor_observations_ = 0;
+  /// Root forecasting (shard_params.prediction), fed the facility meter on
+  /// every live root cycle; its forecast drives the deficit fold and the
+  /// elevation gate.
+  RootForecaster forecaster_;
   std::uint64_t predictive_elevations_ = 0;
   std::vector<Zone> zones_;
+  /// The zones' shards in zone order: the span the registry mirror sums.
+  std::vector<const CappingManager*> shards_;
   common::ThreadPool* pool_ = nullptr;
   ManagerMetrics metrics_;  ///< root aggregate series
   obs::Registry* reg_ = nullptr;

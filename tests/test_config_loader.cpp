@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "cluster/scenario.hpp"
 
@@ -139,6 +140,48 @@ TEST(ConfigLoader, NegativeFaultKnobThrows) {
                std::runtime_error);
   EXPECT_THROW(load("[actuation]\ndelay_cycles = -2\n"), std::runtime_error);
   EXPECT_THROW(load("[actuation]\nmax_retries = -1\n"), std::runtime_error);
+}
+
+// The [cluster] keys are checked at parse time too: a negative node
+// count or a NaN period used to pass parsing and fail deep inside the run
+// (a vector length error, a learner complaining about cycle counts) with
+// a message that named no key.
+TEST(ConfigLoader, RejectsMalformedClusterKeys) {
+  const auto rejects = [](const std::string& key, const std::string& value) {
+    try {
+      load("[cluster]\n" + key + " = " + value + "\n");
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::strstr(e.what(), ("cluster." + key).c_str()), nullptr)
+          << e.what();
+      return;
+    }
+    ADD_FAILURE() << "cluster." << key << " = " << value << " was accepted";
+  };
+  rejects("nodes", "-3");
+  rejects("nodes", "0");
+  for (const char* key : {"tick_s", "control_period_s"}) {
+    rejects(key, "nan");
+    rejects(key, "inf");
+    rejects(key, "0");
+    rejects(key, "-1");
+  }
+  rejects("max_procs_per_node", "-1");
+  for (const char* key : {"privileged_fraction", "idle_utilization",
+                          "utilization_noise", "ramp_tau_s"}) {
+    rejects(key, "nan");
+    rejects(key, "inf");
+    rejects(key, "-0.5");
+  }
+  // The boundary values stay accepted.
+  const ExperimentConfig cfg =
+      load("[cluster]\nnodes = 1\ntick_s = 0.5\ncontrol_period_s = 0.5\n"
+           "max_procs_per_node = 0\nprivileged_fraction = 0\n"
+           "idle_utilization = 0\nutilization_noise = 0\nramp_tau_s = 0\n");
+  EXPECT_EQ(cfg.cluster.num_nodes, 1u);
+  EXPECT_DOUBLE_EQ(cfg.cluster.tick.value(), 0.5);
+  EXPECT_DOUBLE_EQ(cfg.cluster.control_period.value(), 0.5);
+  EXPECT_EQ(cfg.cluster.scheduler.max_procs_per_node, 0);
+  EXPECT_DOUBLE_EQ(cfg.cluster.utilization_ramp_tau_s, 0.0);
 }
 
 TEST(ConfigLoader, OutOfRangeRateStillCaughtByParamsValidate) {

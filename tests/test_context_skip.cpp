@@ -38,24 +38,24 @@ using power::PowerState;
 
 /// The ManagerReport fields no registry counter carries; doubles in hex so
 /// equality is bitwise. Every counted field (targets, stale views, acks,
-/// fault and predictor totals, ...) is compared through counters() below.
+/// ...) and every mirrored total is compared through counters() below.
 std::string describe(const ManagerReport& r) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "s=%d m=%a pl=%a ph=%a tr=%d u=%a fl=%zu ad=%zu hf=%d f=%a "
-                "fe=%a fs=%d cd=%d zd=%zu",
+                "s=%d m=%a pl=%a ph=%a tr=%d u=%a hf=%d f=%a fe=%a fs=%d "
+                "cd=%d",
                 static_cast<int>(r.state), r.measured.value(),
                 r.p_low.value(), r.p_high.value(), r.training ? 1 : 0,
-                r.manager_utilization, r.commands_in_flight, r.agents_down,
-                r.has_forecast ? 1 : 0, r.forecast.value(),
-                r.forecast_abs_error, r.forecast_scored ? 1 : 0,
-                r.controller_down ? 1 : 0, r.zones_down);
+                r.manager_utilization, r.has_forecast ? 1 : 0,
+                r.forecast.value(), r.forecast_abs_error,
+                r.forecast_scored ? 1 : 0, r.controller_down ? 1 : 0);
   return buf;
 }
 
 /// Every registry counter after a cycle, minus the ones that legitimately
 /// differ from the oracle: the skip counter and, for the tree, the
-/// per-zone series (zone activity differs by design).
+/// per-zone series (zone activity differs by design). Then the gauges the
+/// registry mirrors from instantaneous owner state.
 std::string counters(const obs::Registry& reg, bool zone_series) {
   std::string out;
   for (const auto& [key, value] : reg.counter_values()) {
@@ -64,6 +64,14 @@ std::string counters(const obs::Registry& reg, bool zone_series) {
       continue;
     }
     out += " " + key + "=" + std::to_string(value);
+  }
+  for (const char* key :
+       {"pcap_manager_commands_in_flight", "pcap_manager_unresponsive_nodes",
+        "pcap_telemetry_agents_down", "pcap_ctrl_orphan_zones"}) {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), " %s=%a", key,
+                  reg.value(*reg.find_gauge(key)));
+    out += buf;
   }
   return out;
 }
@@ -108,6 +116,7 @@ class ReferenceTree final : public power::PowerManagerBase {
     for (std::size_t z = 0; z < zones_.size(); ++z) {
       zones_[z].shard = std::make_unique<CappingManager>(
           shard, factory(), rng.fork("zone" + std::to_string(z)));
+      shards_.push_back(zones_[z].shard.get());
     }
   }
 
@@ -318,36 +327,21 @@ class ReferenceTree final : public power::PowerManagerBase {
   };
 
   void finish(ManagerReport& report, std::size_t sweeps) {
-    std::size_t unresponsive_now = 0;
     for (const Zone& zone : zones_) {
-      const CappingManager& m = *zone.shard;
       report.manager_utilization +=
-          m.collector().last_cycle_manager_utilization();
-      report.samples_lost += m.collector().samples_lost();
-      report.samples_suppressed += m.collector().samples_suppressed();
-      const telemetry::FaultInjector& faults = m.collector().fault_injector();
-      report.samples_corrupted += faults.samples_corrupted();
-      report.crash_events += faults.crash_events();
-      report.recovery_events += faults.recovery_events();
-      report.agents_down += faults.silent_count();
-      report.commands_lost += m.actuation_channel().commands_lost();
-      report.commands_rebooting +=
-          m.actuation_channel().commands_dropped_rebooting();
-      report.transitions_failed += m.actuation_channel().transitions_failed();
-      report.transitions_partial +=
-          m.actuation_channel().transitions_partial();
-      report.reboot_events += m.actuation_channel().reboot_events();
-      report.commands_abandoned += m.reconciler().total_abandoned();
-      report.commands_clamped += m.controller().commands_clamped();
-      report.commands_in_flight += m.reconciler().pending_count();
-      unresponsive_now += m.reconciler().unresponsive_count();
+          zone.shard->collector().last_cycle_manager_utilization();
     }
-    metrics_.publish(report, unresponsive_now, sweeps, 0);
+    metrics_.publish(report, sweeps, 0, shards_, control_, scorer_, 0);
   }
 
   power::ZoneTreeParams params_;
   power::ThresholdLearner learner_;
   std::vector<Zone> zones_;
+  std::vector<const CappingManager*> shards_;
+  /// Never-failing, never-forecasting root: its totals stay zero.
+  power::ControlFaultInjector control_{power::ControlFaultParams{},
+                                       common::Rng(0)};
+  power::ForecastScorer scorer_;
   power::ManagerMetrics metrics_;
   PowerState last_state_ = PowerState::kGreen;
   std::size_t job_events_seen_ = 0;

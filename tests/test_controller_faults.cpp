@@ -464,7 +464,7 @@ TEST(ZoneOutage, OrphanZoneInflatesSiblingShares) {
   // Healthy yellow cycle: both zones measured, deficit split evenly.
   auto r = m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{1.0});
   ASSERT_EQ(r.state, PowerState::kYellow);
-  EXPECT_EQ(r.zones_down, 0u);
+  EXPECT_EQ(m.control_faults().zones_down(), 0u);
   const Watts orphan_power = m.zone_power(1);
   ASSERT_GT(orphan_power.value(), 0.0);
 
@@ -475,9 +475,9 @@ TEST(ZoneOutage, OrphanZoneInflatesSiblingShares) {
   const auto levels_before = std::vector<hw::Level>{rig.nodes[2].level(),
                                                     rig.nodes[3].level()};
   r = m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{2.0});
-  EXPECT_EQ(r.zones_down, 1u);
+  EXPECT_EQ(m.control_faults().zones_down(), 1u);
   EXPECT_FALSE(r.controller_down);
-  EXPECT_GT(r.ctrl_zone_outage_cycles, 0u);
+  EXPECT_GT(m.control_faults().zone_outage_cycles(), 0u);
   EXPECT_EQ(rig.nodes[2].level(), levels_before[0]);
   EXPECT_EQ(rig.nodes[3].level(), levels_before[1]);
   const double deficit = 1700.0 - r.p_low.value();
@@ -490,8 +490,8 @@ TEST(ZoneOutage, OrphanZoneInflatesSiblingShares) {
 
   // Window drains: the shard comes back and both zones share again.
   m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{3.0});
-  r = m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{4.0});
-  EXPECT_EQ(r.zones_down, 0u);
+  m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{4.0});
+  EXPECT_EQ(m.control_faults().zones_down(), 0u);
   EXPECT_GT(m.zone_share(1).value(), 0.0);
 }
 
@@ -539,8 +539,8 @@ TEST(ZoneOutage, RootBlackoutSilencesTheWholeTree) {
   r = m.cycle(Watts{1700.0}, rig.nodes, rig.scheduler, Seconds{5.0});
   EXPECT_FALSE(r.controller_down);
   EXPECT_GT(m.zones_active_last_cycle(), 0u);
-  EXPECT_EQ(r.ctrl_outages, 1u);
-  EXPECT_EQ(r.ctrl_outage_cycles, 2u);
+  EXPECT_EQ(m.control_faults().outages_started(), 1u);
+  EXPECT_EQ(m.control_faults().outage_cycles(), 2u);
 }
 
 // -- checkpoint / warm restart -------------------------------------------
@@ -695,9 +695,10 @@ TEST(Checkpoint, TreeCodecRoundTripsAndValidatesZoneCount) {
 struct ChaosResult {
   std::vector<metrics::CyclePoint> points;
   std::vector<metrics::JobRecord> finished;
-  power::ManagerReport pre_restart;  ///< end of phase 2 — the warm restart
-                                     ///< starts the lifetime counters over
-  power::ManagerReport last;
+  // The tree's outage totals at the end of phase 2 — the warm restart
+  // starts the lifetime counters over.
+  std::uint64_t pre_restart_outage_cycles = 0;
+  std::uint64_t pre_restart_zone_outage_cycles = 0;
   std::uint64_t watchdog_engagements = 0;
   std::uint64_t watchdog_transitions = 0;
   std::size_t watchdog_pending_at_end = 0;
@@ -759,7 +760,10 @@ ChaosResult run_controller_chaos_cluster(std::size_t worker_threads) {
   tree.control_faults().inject_outage(10);
   tree.control_faults().inject_zone_outage(0, 6);
   cl.run(Seconds{120.0});
-  const power::ManagerReport pre_restart = cl.last_report();
+  const std::uint64_t pre_restart_outage_cycles =
+      tree.control_faults().outage_cycles();
+  const std::uint64_t pre_restart_zone_outage_cycles =
+      tree.control_faults().zone_outage_cycles();
   // Phase 3: warm restart — encode/decode through the wire image, restore
   // into a freshly built controller, swap it in mid-run.
   const std::string image =
@@ -773,8 +777,8 @@ ChaosResult run_controller_chaos_cluster(std::size_t worker_threads) {
   ChaosResult out;
   out.points = cl.recorder().points();
   out.finished = cl.finished_records();
-  out.pre_restart = pre_restart;
-  out.last = cl.last_report();
+  out.pre_restart_outage_cycles = pre_restart_outage_cycles;
+  out.pre_restart_zone_outage_cycles = pre_restart_zone_outage_cycles;
   out.watchdog_engagements = cl.watchdog().engagements();
   out.watchdog_transitions = cl.watchdog().failsafe_transitions();
   out.watchdog_pending_at_end = cl.watchdog().pending_count();
@@ -800,9 +804,9 @@ void expect_identical(const ChaosResult& a, const ChaosResult& b) {
   }
   EXPECT_EQ(a.watchdog_engagements, b.watchdog_engagements);
   EXPECT_EQ(a.watchdog_transitions, b.watchdog_transitions);
-  EXPECT_EQ(a.pre_restart.ctrl_outage_cycles, b.pre_restart.ctrl_outage_cycles);
-  EXPECT_EQ(a.pre_restart.ctrl_zone_outage_cycles,
-            b.pre_restart.ctrl_zone_outage_cycles);
+  EXPECT_EQ(a.pre_restart_outage_cycles, b.pre_restart_outage_cycles);
+  EXPECT_EQ(a.pre_restart_zone_outage_cycles,
+            b.pre_restart_zone_outage_cycles);
 }
 
 TEST(ControllerChaos, FailsafeBoundsOverPowerAndRunStaysDeterministic) {
@@ -812,9 +816,9 @@ TEST(ControllerChaos, FailsafeBoundsOverPowerAndRunStaysDeterministic) {
   // The chaos actually happened: the forced blackout outlived the
   // watchdog timeout, so failsafes engaged and were later adopted. (The
   // warm restart deliberately starts lifetime counters over, so the
-  // phase-2 report is the one that witnessed the blackout.)
-  EXPECT_GT(serial.pre_restart.ctrl_outage_cycles, 0u);
-  EXPECT_GT(serial.pre_restart.ctrl_zone_outage_cycles, 0u);
+  // phase-2 totals are the ones that witnessed the blackout.)
+  EXPECT_GT(serial.pre_restart_outage_cycles, 0u);
+  EXPECT_GT(serial.pre_restart_zone_outage_cycles, 0u);
   EXPECT_GT(serial.watchdog_engagements, 0u);
   EXPECT_GT(serial.watchdog_transitions, 0u);
   // The run ends healthy: every failsafe level was adopted back.

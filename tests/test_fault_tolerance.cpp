@@ -38,6 +38,10 @@ struct RunResult {
   std::uint64_t samples_suppressed = 0;
 };
 
+std::uint64_t counter(const cluster::Cluster& cl, const std::string& key) {
+  return cl.metrics().counter_value(key).value_or(0);
+}
+
 /// Every fault channel the degraded run asserts on has fired: reports were
 /// lost and suppressed, and some built context held a stale view.
 bool telemetry_faults_fired(const cluster::Cluster& cl) {
@@ -45,8 +49,9 @@ bool telemetry_faults_fired(const cluster::Cluster& cl) {
   for (const metrics::CyclePoint& p : cl.recorder().points()) {
     stale += p.stale_nodes;
   }
-  return cl.last_report().samples_lost > 0 &&
-         cl.last_report().samples_suppressed > 0 && stale > 0;
+  return counter(cl, "pcap_telemetry_samples_lost_total") > 0 &&
+         counter(cl, "pcap_telemetry_samples_suppressed_total") > 0 &&
+         stale > 0;
 }
 
 /// A degraded-management-plane cluster run: report loss AND delivery
@@ -111,8 +116,9 @@ RunResult run_degraded_cluster(std::size_t worker_threads) {
   for (const metrics::JobRecord& r : out.finished) {
     out.total_energy_j += r.energy_j;
   }
-  out.samples_lost = cl.last_report().samples_lost;
-  out.samples_suppressed = cl.last_report().samples_suppressed;
+  out.samples_lost = counter(cl, "pcap_telemetry_samples_lost_total");
+  out.samples_suppressed =
+      counter(cl, "pcap_telemetry_samples_suppressed_total");
   return out;
 }
 

@@ -1,8 +1,8 @@
 // Observability layer (obs/registry.hpp, obs/spans.hpp): registration
 // semantics, exporters, span gating, and the registry-as-source-of-truth
-// contract — trace CSV columns and manager reports are views over the
-// same counters, and deterministic series stay bit-identical across
-// worker counts.
+// contract — trace CSV columns are views over the same counters, mirrored
+// totals match the objects that own them, and deterministic series stay
+// bit-identical across worker counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include "obs/spans.hpp"
 #include "power/manager.hpp"
 #include "power/policy_registry.hpp"
+#include "power/zone_manager.hpp"
 
 namespace pcap {
 namespace {
@@ -192,11 +193,138 @@ void install_capping_manager(cluster::Cluster& cl) {
   cl.set_manager(std::move(mgr));
 }
 
-TEST(ObsCluster, RegistryAgreesWithTraceRecorderAndReports) {
+/// A capping control plane with every fault channel open — lossy,
+/// delayed, corrupting telemetry with agent crashes; lossy, failing,
+/// reboot-prone actuation; controller stalls — and a forecast-driven
+/// policy, so every series the registry mirrors has something to count.
+/// `zones` == 0 installs the flat manager, otherwise a zone tree.
+void install_faulty_manager(cluster::Cluster& cl, std::size_t zones) {
+  power::CappingManagerParams p;
+  p.thresholds.provision = cl.theoretical_peak() * 0.75;
+  p.thresholds.training_cycles = 0;
+  p.thresholds.freeze_at_provision = true;
+  p.cycle_period = cl.config().control_period;
+  p.collector.transport.loss_rate = 0.05;
+  p.collector.transport.delay_cycles = 2;
+  p.collector.faults.agent_dropout_rate = 0.02;
+  p.collector.faults.agent_recovery_rate = 0.25;
+  p.collector.faults.crash_rate = 2e-3;
+  p.collector.faults.crash_duration_cycles = 30;
+  p.collector.faults.corruption_rate = 0.01;
+  p.max_sample_age_cycles = 3;
+  p.actuation.command_loss_rate = 0.05;
+  p.actuation.delivery_delay_cycles = 1;
+  p.actuation.transition_failure_rate = 0.02;
+  p.actuation.partial_transition_rate = 0.05;
+  p.actuation.reboot_rate = 1e-3;
+  p.actuation.reboot_duration_cycles = 10;
+  p.control.delay_rate = 0.01;
+  p.prediction.enabled = true;
+  p.prediction.horizon_cycles = 5;
+  const common::Rng rng(cl.config().seed ^ 0x9d2c5680u);
+  if (zones == 0) {
+    auto mgr = std::make_unique<power::CappingManager>(
+        p, power::make_policy("pi-c"), rng);
+    mgr->set_candidate_set(cl.controllable_nodes());
+    cl.set_manager(std::move(mgr));
+    return;
+  }
+  power::ZoneTreeParams zp;
+  zp.zone_count = zones;
+  auto mgr = std::make_unique<power::ZoneTreeManager>(
+      zp, p, [] { return power::make_policy("pi-c"); }, rng);
+  mgr->set_candidate_set(cl.controllable_nodes());
+  cl.set_manager(std::move(mgr));
+}
+
+/// Every series ManagerMetrics mirrors, against the owners' own accessors:
+/// collector, fault injector, channel, reconciler and controller totals
+/// summed over `shards`, and the root's control-fault injector, scorer
+/// and predictive-elevation count.
+void expect_registry_mirrors_owners(
+    const obs::Registry& reg,
+    const std::vector<const power::CappingManager*>& shards,
+    const power::ControlFaultInjector& control,
+    const power::ForecastScorer& scorer, std::uint64_t elevations) {
+  std::uint64_t lost = 0, suppressed = 0, corrupted = 0, crashes = 0;
+  std::uint64_t recoveries = 0, commands_lost = 0, rebooting = 0;
+  std::uint64_t failed = 0, partial = 0, reboots = 0, abandoned = 0;
+  std::uint64_t clamped = 0;
+  double in_flight = 0.0, unresponsive = 0.0, agents_down = 0.0;
+  for (const power::CappingManager* m : shards) {
+    const telemetry::Collector& col = m->collector();
+    lost += col.samples_lost();
+    suppressed += col.samples_suppressed();
+    corrupted += col.fault_injector().samples_corrupted();
+    crashes += col.fault_injector().crash_events();
+    recoveries += col.fault_injector().recovery_events();
+    agents_down += static_cast<double>(col.fault_injector().silent_count());
+    const power::ActuationChannel& ch = m->actuation_channel();
+    commands_lost += ch.commands_lost();
+    rebooting += ch.commands_dropped_rebooting();
+    failed += ch.transitions_failed();
+    partial += ch.transitions_partial();
+    reboots += ch.reboot_events();
+    abandoned += m->reconciler().total_abandoned();
+    clamped += m->controller().commands_clamped();
+    in_flight += static_cast<double>(m->reconciler().pending_count());
+    unresponsive += static_cast<double>(m->reconciler().unresponsive_count());
+  }
+  const auto c = [&](const std::string& key) {
+    const auto v = reg.counter_value(key);
+    EXPECT_TRUE(v.has_value()) << key;
+    return v.value_or(0);
+  };
+  const auto g = [&](const std::string& key) {
+    const auto h = reg.find_gauge(key);
+    EXPECT_TRUE(h.has_value()) << key;
+    return h ? reg.value(*h) : -1.0;
+  };
+  EXPECT_EQ(c("pcap_telemetry_samples_lost_total"), lost);
+  EXPECT_EQ(c("pcap_telemetry_samples_suppressed_total"), suppressed);
+  EXPECT_EQ(c("pcap_telemetry_samples_corrupted_total"), corrupted);
+  EXPECT_EQ(c("pcap_telemetry_crash_events_total"), crashes);
+  EXPECT_EQ(c("pcap_telemetry_recovery_events_total"), recoveries);
+  EXPECT_EQ(c("pcap_actuation_commands_lost_total"), commands_lost);
+  EXPECT_EQ(c("pcap_actuation_commands_rebooting_total"), rebooting);
+  EXPECT_EQ(c("pcap_actuation_transitions_failed_total"), failed);
+  EXPECT_EQ(c("pcap_actuation_transitions_partial_total"), partial);
+  EXPECT_EQ(c("pcap_actuation_reboot_events_total"), reboots);
+  EXPECT_EQ(c("pcap_actuation_commands_abandoned_total"), abandoned);
+  EXPECT_EQ(c("pcap_actuation_commands_clamped_total"), clamped);
+  EXPECT_EQ(c("pcap_ctrl_outage_events_total"), control.outages_started());
+  EXPECT_EQ(c("pcap_ctrl_outage_cycles_total"), control.outage_cycles());
+  EXPECT_EQ(c("pcap_ctrl_delayed_cycles_total"), control.delayed_cycles());
+  EXPECT_EQ(c("pcap_ctrl_zone_outage_cycles_total"),
+            control.zone_outage_cycles());
+  EXPECT_EQ(c("pcap_predictor_overshoots_total"), scorer.overshoots());
+  EXPECT_EQ(c("pcap_predictor_misses_total"), scorer.misses());
+  EXPECT_EQ(c("pcap_manager_predictive_elevations_total"), elevations);
+  EXPECT_EQ(g("pcap_manager_commands_in_flight"), in_flight);
+  EXPECT_EQ(g("pcap_manager_unresponsive_nodes"), unresponsive);
+  EXPECT_EQ(g("pcap_telemetry_agents_down"), agents_down);
+  EXPECT_EQ(g("pcap_ctrl_orphan_zones"),
+            static_cast<double>(control.zones_down()));
+}
+
+/// The registry against every other view of the same quantities — the
+/// trace CSV and the owners of the mirrored totals — over a faulty run
+/// with a forced root blackout (and, under a tree, a zone crash) midway.
+void expect_registry_agrees(std::size_t zones) {
   cluster::Cluster cl(capped_config(1));
-  install_capping_manager(cl);
+  install_faulty_manager(cl, zones);
   cl.start_recording();
-  cl.run(Seconds{400.0});
+  cl.run(Seconds{200.0});
+  auto* flat = dynamic_cast<power::CappingManager*>(&cl.manager());
+  auto* tree = dynamic_cast<power::ZoneTreeManager*>(&cl.manager());
+  ASSERT_TRUE(zones == 0 ? flat != nullptr : tree != nullptr);
+  if (flat != nullptr) {
+    flat->control_faults().inject_outage(3);
+  } else {
+    tree->control_faults().inject_outage(3);
+    tree->control_faults().inject_zone_outage(1, 5);
+  }
+  cl.run(Seconds{200.0});
 
   const obs::Registry& reg = cl.metrics();
   EXPECT_TRUE(reg.frozen());
@@ -210,7 +338,8 @@ TEST(ObsCluster, RegistryAgreesWithTraceRecorderAndReports) {
   EXPECT_DOUBLE_EQ(g("pcap_cluster_power_watts"), cl.last_power().value());
   EXPECT_GT(reg.counter_value("pcap_sim_events_total").value_or(0), 0u);
 
-  // State-cycle counters sum to the number of control cycles.
+  // State-cycle counters sum to the number of control cycles, dead ones
+  // included.
   const std::uint64_t cycles =
       reg.counter_value("pcap_manager_cycles_total{state=\"green\"}")
           .value_or(0) +
@@ -247,11 +376,27 @@ TEST(ObsCluster, RegistryAgreesWithTraceRecorderAndReports) {
   EXPECT_EQ(c("pcap_manager_transitions_total"), csv_transitions);
   EXPECT_EQ(c("pcap_manager_targets_total"), csv_targets);
 
-  // Mirrored lifetime totals match the last report's ground truth.
-  EXPECT_EQ(c("pcap_telemetry_samples_lost_total"),
-            cl.last_report().samples_lost);
-  EXPECT_EQ(c("pcap_actuation_commands_clamped_total"),
-            cl.last_report().commands_clamped);
+  // Mirrored lifetime totals and tallies match their owners.
+  if (flat != nullptr) {
+    expect_registry_mirrors_owners(reg, {flat}, flat->control_faults(),
+                                   flat->forecaster().forecast_scorer(),
+                                   flat->engine().predictive_elevations());
+  } else {
+    std::vector<const power::CappingManager*> shards;
+    for (std::size_t z = 0; z < tree->zone_count(); ++z) {
+      shards.push_back(&tree->zone(z));
+    }
+    expect_registry_mirrors_owners(reg, shards, tree->control_faults(),
+                                   tree->forecaster().forecast_scorer(),
+                                   tree->predictive_elevations());
+  }
+  // The fault channels really fired.
+  EXPECT_GT(c("pcap_telemetry_samples_lost_total"), 0u);
+  EXPECT_GT(c("pcap_actuation_commands_lost_total"), 0u);
+  EXPECT_GT(c("pcap_ctrl_outage_cycles_total"), 0u);
+  if (tree != nullptr) {
+    EXPECT_GT(c("pcap_ctrl_zone_outage_cycles_total"), 0u);
+  }
 
   // Span histograms recorded something (timing is on in this run).
   const auto tick_span =
@@ -266,6 +411,17 @@ TEST(ObsCluster, RegistryAgreesWithTraceRecorderAndReports) {
             std::string::npos);
   EXPECT_NE(reg.json_snapshot().find("pcap_cluster_power_watts"),
             std::string::npos);
+}
+
+TEST(ObsCluster, RegistryAgreesWithTraceRecorderAndReports) {
+  {
+    SCOPED_TRACE("flat manager");
+    expect_registry_agrees(0);
+  }
+  {
+    SCOPED_TRACE("zone tree, Z=3");
+    expect_registry_agrees(3);
+  }
 }
 
 TEST(ObsCluster, DeterministicSeriesBitIdenticalAcrossWorkerCounts) {

@@ -501,10 +501,10 @@ TEST(CappingManager, ActsBeforeTheMeterCrossesTheThreshold) {
   ASSERT_TRUE(r.has_forecast);
   EXPECT_DOUBLE_EQ(r.forecast.value(), 1860.0);
   EXPECT_EQ(r.state, PowerState::kYellow);
-  EXPECT_EQ(r.predictive_elevations, 1u);
+  EXPECT_EQ(m.engine().predictive_elevations(), 1u);
   EXPECT_GT(r.targets, 0u);
-  EXPECT_EQ(m.current_forecast()->value(), 1860.0);
-  ASSERT_NE(m.predictor(), nullptr);
+  EXPECT_EQ(m.forecaster().current_forecast()->value(), 1860.0);
+  ASSERT_NE(m.forecaster().predictor(), nullptr);
 }
 
 TEST(CappingManager, PredictionDisabledIsByteForByteReactive) {
@@ -519,12 +519,12 @@ TEST(CappingManager, PredictionDisabledIsByteForByteReactive) {
     const auto r = m.cycle(Watts{1500.0 + 50.0 * i}, rig.nodes,
                            rig.scheduler, Seconds{1.0 + i});
     EXPECT_FALSE(r.has_forecast);
-    EXPECT_EQ(r.predictive_elevations, 0u);
+    EXPECT_EQ(m.engine().predictive_elevations(), 0u);
     // 1500..1650 all under P_L = 1680: a reactive PI-C stays green.
     EXPECT_EQ(r.state, PowerState::kGreen);
   }
-  EXPECT_EQ(m.predictor(), nullptr);
-  EXPECT_FALSE(m.current_forecast().has_value());
+  EXPECT_EQ(m.forecaster().predictor(), nullptr);
+  EXPECT_FALSE(m.forecaster().current_forecast().has_value());
 }
 
 TEST(CappingManager, ScorerReportsAccuracyOncePipelineFills) {
@@ -542,9 +542,10 @@ TEST(CappingManager, ScorerReportsAccuracyOncePipelineFills) {
   // Constant input: forecasts are exact, no overshoots and no misses.
   EXPECT_TRUE(r.forecast_scored);
   EXPECT_DOUBLE_EQ(r.forecast_abs_error, 0.0);
-  EXPECT_EQ(r.predictor_overshoots, 0u);
-  EXPECT_EQ(r.predictor_misses, 0u);
-  EXPECT_GT(m.forecast_scorer().scored(), 0u);
+  const ForecastScorer& scorer = m.forecaster().forecast_scorer();
+  EXPECT_EQ(scorer.overshoots(), 0u);
+  EXPECT_EQ(scorer.misses(), 0u);
+  EXPECT_GT(scorer.scored(), 0u);
 }
 
 TEST(Checkpoint, PredictorWarmRestartResumesBitIdentically) {
@@ -572,8 +573,9 @@ TEST(Checkpoint, PredictorWarmRestartResumesBitIdentically) {
   CappingManager b(predictive_params(), make_policy("pi-c"), common::Rng(5));
   b.set_candidate_set({0, 1, 2, 3});
   b.restore(decode_shard_checkpoint(image));
-  ASSERT_TRUE(b.current_forecast().has_value());
-  EXPECT_EQ(b.current_forecast()->value(), a.current_forecast()->value());
+  ASSERT_TRUE(b.forecaster().current_forecast().has_value());
+  EXPECT_EQ(b.forecaster().current_forecast()->value(),
+            a.forecaster().current_forecast()->value());
 
   for (int i = 6; i < 12; ++i) {
     const auto rb =
@@ -584,7 +586,8 @@ TEST(Checkpoint, PredictorWarmRestartResumesBitIdentically) {
     EXPECT_EQ(rb.forecast.value(), rc.forecast.value()) << "cycle " << i;
     EXPECT_EQ(rb.state, rc.state) << "cycle " << i;
     EXPECT_EQ(rb.targets, rc.targets) << "cycle " << i;
-    EXPECT_EQ(rb.predictive_elevations, rc.predictive_elevations)
+    EXPECT_EQ(b.engine().predictive_elevations(),
+              c.engine().predictive_elevations())
         << "cycle " << i;
   }
 }
@@ -616,8 +619,9 @@ TEST(Checkpoint, FftPredictorAndPiIntegralSurviveTheImage) {
   ASSERT_NE(pi_a, nullptr);
   ASSERT_NE(pi_b, nullptr);
   EXPECT_EQ(pi_b->integral(), pi_a->integral());
-  ASSERT_TRUE(b.current_forecast().has_value());
-  EXPECT_EQ(b.current_forecast()->value(), a.current_forecast()->value());
+  ASSERT_TRUE(b.forecaster().current_forecast().has_value());
+  EXPECT_EQ(b.forecaster().current_forecast()->value(),
+            a.forecaster().current_forecast()->value());
 }
 
 // -- zone tree integration -----------------------------------------------
@@ -640,7 +644,6 @@ TEST(ZoneTree, RootForecastElevatesTheTreeAndCheckpoints) {
   EXPECT_DOUBLE_EQ(r.forecast.value(), 1860.0);  // >= P_L = 1680
   EXPECT_EQ(r.state, PowerState::kYellow);
   EXPECT_GE(m.predictive_elevations(), 1u);
-  EXPECT_GE(r.predictive_elevations, 1u);
 
   const TreeCheckpoint cp = m.checkpoint();
   EXPECT_FALSE(cp.predictor_state.empty());
@@ -652,8 +655,9 @@ TEST(ZoneTree, RootForecastElevatesTheTreeAndCheckpoints) {
       common::Rng(1));
   fresh.set_candidate_set({0, 1, 2, 3});
   fresh.restore(decode_tree_checkpoint(text));
-  ASSERT_TRUE(fresh.current_forecast().has_value());
-  EXPECT_EQ(fresh.current_forecast()->value(), m.current_forecast()->value());
+  ASSERT_TRUE(fresh.forecaster().current_forecast().has_value());
+  EXPECT_EQ(fresh.forecaster().current_forecast()->value(),
+            m.forecaster().current_forecast()->value());
 }
 
 // -- whole-cluster determinism of the predictive stack -------------------
@@ -726,7 +730,8 @@ PredictiveRun run_predictive_cluster(std::size_t worker_threads,
   PredictiveRun out;
   out.points = cl.recorder().points();
   out.prom = strip_spans(cl.metrics().prometheus_text());
-  out.samples_lost = cl.last_report().samples_lost;
+  out.samples_lost =
+      cl.metrics().counter_value("pcap_telemetry_samples_lost_total").value();
   return out;
 }
 

@@ -442,17 +442,51 @@ TEST(ZoneTree, ExperimentWiringRejectsInvalidCombinations) {
   EXPECT_GT(r.perf.finished_jobs, 0u);
 }
 
+/// The registry export minus the wall-clock phase spans (the only
+/// legitimately nondeterministic series).
+std::string strip_spans(const std::string& text) {
+  std::string out;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    const std::string_view line(text.data() + pos, eol - pos);
+    if (line.find("phase_seconds") == std::string_view::npos) {
+      out.append(line);
+      out.push_back('\n');
+    }
+    pos = eol + 1;
+  }
+  return out;
+}
+
 struct RunResult {
   std::vector<metrics::CyclePoint> points;
   std::vector<metrics::JobRecord> finished;
   double total_energy_j = 0.0;
   std::uint64_t samples_lost = 0;
   std::uint64_t commands_lost = 0;
+  std::string prom;  ///< registry export, spans stripped
 };
+
+std::uint64_t counter(const cluster::Cluster& cl, const std::string& key) {
+  return cl.metrics().counter_value(key).value_or(0);
+}
+
+/// Both fault channels the degraded run asserts on have fired: telemetry
+/// reports and actuation commands were lost.
+bool zone_faults_fired(const cluster::Cluster& cl) {
+  return counter(cl, "pcap_telemetry_samples_lost_total") > 0 &&
+         counter(cl, "pcap_actuation_commands_lost_total") > 0;
+}
 
 /// A degraded-management-plane cluster run under the Z=3 zone tree:
 /// telemetry loss/delay/dropout/crash/corruption AND a lossy, delayed,
 /// reboot-prone actuation plane, with the zone fan-out forced parallel.
+/// A seed whose job stream keeps the meter under P_L sends no command, so
+/// the run goes on in 250 s steps past its 500 s window until both
+/// channels have fired (at most 4000 s). A bit-identical replay stops at
+/// the same step.
 RunResult run_degraded_zone_cluster(std::size_t worker_threads) {
   cluster::ClusterConfig cfg;
   cfg.num_nodes = 200;
@@ -498,6 +532,9 @@ RunResult run_degraded_zone_cluster(std::size_t worker_threads) {
 
   cl.start_recording();
   cl.run(Seconds{500.0});
+  for (double t = 500.0; !zone_faults_fired(cl) && t < 4000.0; t += 250.0) {
+    cl.run(Seconds{250.0});
+  }
 
   RunResult out;
   out.points = cl.recorder().points();
@@ -505,8 +542,9 @@ RunResult run_degraded_zone_cluster(std::size_t worker_threads) {
   for (const metrics::JobRecord& r : out.finished) {
     out.total_energy_j += r.energy_j;
   }
-  out.samples_lost = cl.last_report().samples_lost;
-  out.commands_lost = cl.last_report().commands_lost;
+  out.samples_lost = counter(cl, "pcap_telemetry_samples_lost_total");
+  out.commands_lost = counter(cl, "pcap_actuation_commands_lost_total");
+  out.prom = strip_spans(cl.metrics().prometheus_text());
   return out;
 }
 
@@ -531,8 +569,9 @@ void expect_identical(const RunResult& a, const RunResult& b) {
     EXPECT_EQ(a.finished[i].energy_j, b.finished[i].energy_j) << "job " << i;
   }
   EXPECT_EQ(a.total_energy_j, b.total_energy_j);
-  EXPECT_EQ(a.samples_lost, b.samples_lost);
-  EXPECT_EQ(a.commands_lost, b.commands_lost);
+  // Every counter and gauge — fault totals, zone series, predictor and
+  // control-plane series — in one diff.
+  EXPECT_EQ(a.prom, b.prom);
 }
 
 TEST(ZoneTree, DegradedZonedRunIsBitIdenticalAcrossWorkerCounts) {
@@ -557,22 +596,6 @@ struct EpisodeResult {
   std::string prom;
   std::uint64_t context_skips = 0;
 };
-
-std::string strip_spans(const std::string& text) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string_view line(text.data() + pos, eol - pos);
-    if (line.find("phase_seconds") == std::string_view::npos) {
-      out.append(line);
-      out.push_back('\n');
-    }
-    pos = eol + 1;
-  }
-  return out;
-}
 
 /// A clean-plane (exact transport) Z=4 spike episode: shed leg, T_g-paced
 /// restore leg, full quiescence — optionally with candidate churn and a
@@ -654,12 +677,16 @@ EpisodeResult run_spike_episode(const char* policy, std::size_t threads,
         mgr->cycle(measured, rig.nodes, rig.scheduler, Seconds{now});
     now += 1.0;
     if (spiked && r.state == PowerState::kGreen) spiked = false;
+    std::size_t in_flight = 0;
+    for (std::size_t z = 0; z < mgr->zone_count(); ++z) {
+      in_flight += mgr->zone(z).reconciler().pending_count();
+    }
     char line[160];
     std::snprintf(line, sizeof(line),
                   "s=%d tg=%zu tr=%zu ack=%zu fl=%zu st=%zu fb=%zu sk=%zu "
                   "df=%zu un=%zu az=%zu",
                   static_cast<int>(r.state), r.targets, r.transitions, r.acks,
-                  r.commands_in_flight, r.stale_nodes, r.fallback_nodes,
+                  in_flight, r.stale_nodes, r.fallback_nodes,
                   r.skipped_targets, r.deferred_targets, r.unresponsive_nodes,
                   mgr->zones_active_last_cycle());
     out.trace.emplace_back(line);
